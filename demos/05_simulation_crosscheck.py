@@ -1,8 +1,9 @@
-"""Validate analytic saturation rates with the event-driven simulator.
+"""Validate analytic saturation rates with the simulator.
 
-The simulator never touches the phase encoding: it pushes individual
-customers through the physical line with a never-empty first station, so
-its departure rate is an independent measurement of the same quantity.
+The simulator never touches the phase encoding: it follows individual
+customers through the physical line with the departure-time recursion of
+blocking after service, and with a never-empty first station its
+departure rate is an independent measurement of the same quantity.
 A second experiment feeds real Poisson arrivals and shows the backlog
 staying flat below the saturation rate and growing linearly above it.
 Run with: python demos/05_simulation_crosscheck.py  (takes ~15 seconds)

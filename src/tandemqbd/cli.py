@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (one line, JSON report), ``sweep`` (grid of lines,
-CSV or JSON table), ``simulate`` (event-driven cross-check, JSON), and
+CSV or JSON table), ``simulate`` (simulated cross-check, JSON), and
 ``phases`` (phase-space inspection). Exit codes: 0 success, 2 input error,
 3 numerical error; diagnostics go to standard error.
 """
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-states", type=int, default=DEFAULT_MAX_PHASES)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="event-driven saturation estimate")
+    p_sim = sub.add_parser("simulate", help="simulated saturation estimate")
     _add_config_flags(p_sim)
     p_sim.add_argument("--departures", type=int, default=1_000_000,
                        help="departures to count after warm-up (default %(default)s)")

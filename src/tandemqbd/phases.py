@@ -59,26 +59,25 @@ def is_valid_phase(config: TandemConfig, m: Phase) -> bool:
 
 
 def _generate(caps: tuple[int, ...]) -> Iterator[Phase]:
-    """Yield valid phases lexicographically, pruning invalid subtrees."""
-    k = len(caps)
-    if k == 0:
-        yield ()
-        return
-    stack: list[int] = []
+    """Yield valid phases lexicographically.
 
-    def rec(i: int) -> Iterator[Phase]:
-        if i == k:
-            yield tuple(stack)
+    An odometer: bump the rightmost coordinate that can still grow and zero
+    the ones after it. No coordinate may reach the blocking sentinel while
+    the one before it is zero.
+    """
+    tops = [c + 2 for c in caps]
+    m = [0] * len(caps)
+    while True:
+        yield tuple(m)
+        i = len(m) - 1
+        while i >= 0 and (
+            m[i] == tops[i] or (m[i] + 1 == tops[i] and i > 0 and m[i - 1] == 0)
+        ):
+            i -= 1
+        if i < 0:
             return
-        top = caps[i] + 2
-        for v in range(top + 1):
-            if v == top and i > 0 and stack[-1] == 0:
-                continue
-            stack.append(v)
-            yield from rec(i + 1)
-            stack.pop()
-
-    yield from rec(0)
+        m[i] += 1
+        m[i + 1 :] = [0] * (len(m) - i - 1)
 
 
 def enumerate_phases(

@@ -1,21 +1,40 @@
-"""Event-driven simulation of the physical line, as an independent check.
+"""Customer-by-customer simulation of the physical line, as an independent check.
 
-The simulator works on the physical state (per-station headcounts and
-blocked flags), not on the encoded phases, and implements the release
-cascade over that state on purpose: the analytic kernel and this module are
-written twice so each validates the other.
+With blocking after service, every time in the line follows from a
+departure-time recursion over customers n = 1, 2, ... and servers
+i = 0..K (Baccelli, Cohen, Olsder & Quadrat, *Synchronization and
+Linearity*, 1992):
+
+    C_i(n) = max(D_{i-1}(n), D_i(n-1)) + S_i(n)
+    D_i(n) = max(C_i(n), D_{i+1}(n - B_{i+1} - 1)),    D_K(n) = C_K(n)
+
+C_i(n) is the time server i finishes customer n, D_i(n) the time that
+customer leaves station i, S_i(n) its service time there, and B_{i+1} the
+buffer in front of station i+1: customer n may enter station i+1 only once
+customer n - B_{i+1} - 1 has left it. D_{-1}(n) is the arrival time of
+customer n, or -inf when the first station never runs dry. The recursion
+needs only the last B_{i+1} + 1 departure times of each station, so memory
+stays bounded however long the run.
+
+The module works on customers and their times, not on the encoded phases,
+and shares no code with the analytic kernel: the two are written twice so
+each validates the other.
 
 Randomness is pinned for reproducibility across machines: the master seed
 feeds ``numpy.random.SeedSequence``, one spawned child per server (plus one
 for the arrival process, when used) drives a PCG64 bit generator, and
-exponential variates come from the inverse transform -log1p(-u)/rate.
+exponential variates come from the inverse transform -log1p(-u)/rate. The
+n-th draw of server i's stream is customer n's service time there.
 Identical (config, seed, target) triples give bit-identical results.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import stats
@@ -94,6 +113,34 @@ def _spawn_streams(
     return streams, children[config.num_servers :]
 
 
+def _departures(
+    config: TandemConfig, streams: list[_ExpStream], arrival_times: Iterable[float]
+) -> Iterator[tuple[float, float, float]]:
+    """Yield (A(n), D_0(n), D_K(n)) for each customer n, in arrival order.
+
+    ``arrival_times`` supplies D_{-1}(n). ``rings[i]`` holds D_i of the last
+    B_i + 1 customers (B_0 = 0), oldest first: ``rings[i][-1]`` is D_i(n-1)
+    and, before station i takes customer n, ``rings[i][0]`` is
+    D_i(n - B_i - 1). Times before the first customer read as 0; nothing
+    beyond the last station blocks it.
+    """
+    rings = [
+        deque([0.0] * (b + 1), maxlen=b + 1)
+        for b in (0, *config.buffer_capacities)
+    ]
+    stages = list(zip(rings, rings[1:] + [(-math.inf,)], [s.draw for s in streams]))
+    first = rings[0]
+    for a in arrival_times:
+        d = a
+        for ring, below, draw in stages:
+            prev = ring[-1]
+            c = (d if d > prev else prev) + draw()
+            free = below[0]
+            d = c if c > free else free
+            ring.append(d)
+        yield a, first[-1], d
+
+
 def simulate_saturated(
     config: TandemConfig, target_departures: int, seed: int = 0
 ) -> SimResult:
@@ -110,78 +157,33 @@ def simulate_saturated(
             f"need at least {MIN_TARGET_DEPARTURES} departures, "
             f"got {target_departures}"
         )
-    k = config.num_buffers
-    caps = [0] + [b + 1 for b in config.buffer_capacities]  # station capacity
     streams, _ = _spawn_streams(config, seed, extra=0)
-    draw = [s.draw for s in streams]
-
-    inf = math.inf
-    tnext = [inf] * (k + 1)
-    occupancy = [0] * (k + 1)  # occupancy[0] unused: station 0 is saturated
-    blocked = [False] * (k + 1)
-
-    t = 0.0
-    injected = 1
-    tnext[0] = draw[0]()
+    customers = _departures(config, streams, itertools.repeat(-math.inf))
 
     warmup = int(round(target_departures * WARMUP_FRACTION))
     batch = target_departures // NUM_BATCHES
     total_needed = warmup + target_departures
-    departures = 0
-    t_warm = 0.0
     boundaries: list[float] = []
+    for departures, (_, _, t) in enumerate(customers, 1):
+        if departures == warmup:
+            t_warm = t
+        elif departures > warmup and (departures - warmup) % batch == 0:
+            boundaries.append(t)
+        if departures == total_needed:
+            break
 
-    while departures < total_needed:
-        i = 0
-        best = tnext[0]
-        for j in range(1, k + 1):
-            if tnext[j] < best:
-                best = tnext[j]
-                i = j
-        t = best
-        tnext[i] = inf
+    # one customer is injected at the start and one each time station 0 frees
+    # up; customers behind the last one counted may have moved on by time t
+    injected = departures + 1
+    for _, left_first, _ in customers:
+        if left_first > t:
+            break
+        injected += 1
 
-        if i < k and occupancy[i + 1] == caps[i + 1]:
-            blocked[i] = True  # hold the customer, idle the server
-            continue
-
-        if i == k:
-            departures += 1
-            if departures == warmup:
-                t_warm = t
-            elif departures > warmup and (departures - warmup) % batch == 0:
-                boundaries.append(t)
-        else:
-            occupancy[i + 1] += 1
-            if tnext[i + 1] == inf and not blocked[i + 1]:
-                tnext[i + 1] = t + draw[i + 1]()
-
-        # the freed slot propagates up any chain of blocked servers
-        j = i
-        while True:
-            if j == 0:
-                injected += 1  # saturated source: a fresh customer steps in
-                tnext[0] = t + draw[0]()
-                break
-            occupancy[j] -= 1
-            if blocked[j - 1]:
-                blocked[j - 1] = False
-                occupancy[j] += 1  # held customer slides in
-                if tnext[j] == inf and occupancy[j] >= 1:
-                    tnext[j] = t + draw[j]()
-                j -= 1
-            else:
-                if tnext[j] == inf and occupancy[j] >= 1:
-                    tnext[j] = t + draw[j]()
-                break
-
-    elapsed = t - t_warm
-    estimate = target_departures / elapsed
-    edges = [t_warm] + boundaries
-    rates = batch / np.diff(edges)
+    estimate = target_departures / (t - t_warm)
+    rates = batch / np.diff([t_warm] + boundaries)
     t_crit = stats.t.ppf(0.975, NUM_BATCHES - 1)
     half_width = float(t_crit * rates.std(ddof=1) / math.sqrt(NUM_BATCHES))
-    in_system = 1 + sum(occupancy[1:])  # station 0 always holds exactly one
     return SimResult(
         throughput_estimate=estimate,
         ci_half_width=half_width,
@@ -189,8 +191,16 @@ def simulate_saturated(
         seed=seed,
         total_departures=departures,
         customers_injected=injected,
-        customers_in_system=in_system,
+        customers_in_system=injected - departures,
     )
+
+
+def _arrival_times(stream: _ExpStream, horizon: float) -> Iterator[float]:
+    """Poisson arrival epochs up to and including ``horizon``."""
+    t = stream.draw()
+    while t <= horizon:
+        yield t
+        t += stream.draw()
 
 
 def simulate_with_arrivals(
@@ -207,89 +217,30 @@ def simulate_with_arrivals(
         raise NegativeArrivalRateError(
             f"arrival rate must be non-negative, got {arrival_rate}"
         )
-    if not horizon > 0.0:
-        raise InputError(f"horizon must be positive, got {horizon}")
-    k = config.num_buffers
-    caps = [0] + [b + 1 for b in config.buffer_capacities]
+    if not math.isfinite(arrival_rate):
+        raise InputError(f"arrival rate must be finite, got {arrival_rate}")
+    if not 0.0 < horizon < math.inf:
+        raise InputError(f"horizon must be positive and finite, got {horizon}")
     streams, spare = _spawn_streams(config, seed, extra=1)
-    draw = [s.draw for s in streams]
-    arrival_stream = (
-        _ExpStream(spare[0], arrival_rate) if arrival_rate > 0.0 else None
+    arrival_times = (
+        _arrival_times(_ExpStream(spare[0], arrival_rate), horizon)
+        if arrival_rate > 0.0
+        else ()
     )
 
-    inf = math.inf
-    tnext = [inf] * (k + 1)
-    occupancy = [0] * (k + 1)
-    blocked = [False] * (k + 1)
-
-    t = 0.0
-    level = 0
-    area = 0.0
-    arrivals = 0
-    departures = 0
-    t_arrival = arrival_stream.draw() if arrival_stream is not None else inf
-
-    while True:
-        i = 0
-        best = tnext[0]
-        for j in range(1, k + 1):
-            if tnext[j] < best:
-                best = tnext[j]
-                i = j
-        if t_arrival <= best:
-            if t_arrival > horizon:
-                break
-            area += level * (t_arrival - t)
-            t = t_arrival
-            level += 1
-            arrivals += 1
-            if tnext[0] == inf and not blocked[0]:
-                tnext[0] = t + draw[0]()
-            t_arrival = t + arrival_stream.draw()
-            continue
-        if best > horizon:
-            break
-        area += level * (best - t)
-        t = best
-        tnext[i] = inf
-
-        if i < k and occupancy[i + 1] == caps[i + 1]:
-            blocked[i] = True
-            continue
-
-        if i == k:
-            departures += 1
-        else:
-            occupancy[i + 1] += 1
-            if tnext[i + 1] == inf and not blocked[i + 1]:
-                tnext[i + 1] = t + draw[i + 1]()
-
-        j = i
-        while True:
-            if j == 0:
-                level -= 1
-                if level >= 1 and tnext[0] == inf:
-                    tnext[0] = t + draw[0]()
-                break
-            occupancy[j] -= 1
-            if blocked[j - 1]:
-                blocked[j - 1] = False
-                occupancy[j] += 1
-                if tnext[j] == inf and occupancy[j] >= 1:
-                    tnext[j] = t + draw[j]()
-                j -= 1
-            else:
-                if tnext[j] == inf and occupancy[j] >= 1:
-                    tnext[j] = t + draw[j]()
-                break
-
-    area += level * (horizon - t)
+    area = 0.0  # integral of the level over [0, horizon]
+    arrivals = left_first = departures = 0
+    for a, d_first, d_last in _departures(config, streams, arrival_times):
+        arrivals += 1
+        left_first += d_first <= horizon
+        departures += d_last <= horizon
+        area += min(d_first, horizon) - a
     return ArrivalSimResult(
         mean_level=area / horizon,
-        final_level=level,
+        final_level=arrivals - left_first,
         departures=departures,
         arrivals=arrivals,
-        in_system=level + sum(occupancy[1:]),
+        in_system=arrivals - departures,
         horizon=horizon,
         seed=seed,
     )

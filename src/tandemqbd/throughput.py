@@ -9,11 +9,12 @@ an independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeArrivalRateError
+from .errors import InputError, NegativeArrivalRateError
 from .model import TandemConfig
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
 from .generator import build_blocks
@@ -83,6 +84,8 @@ def is_stable(config: TandemConfig, arrival_rate: float) -> bool:
     Stability is strict: at the saturation rate itself the level drifts,
     so the predicate is False there.
     """
+    if math.isnan(arrival_rate):
+        raise InputError("arrival rate must be a number, got nan")
     if arrival_rate < 0.0:
         raise NegativeArrivalRateError(
             f"arrival rate must be non-negative, got {arrival_rate}"
@@ -101,9 +104,15 @@ def closed_form_two_server(mu0: float, mu1: float, buffer_capacity: int) -> floa
         lambda_max = (mu0 * sum_{j=0..B} rho^j + mu1 * rho^(B+2))
                      / sum_{j=0..B+2} rho^j
 
-    At mu0 = mu1 = mu this reduces to mu (B+2)/(B+3).
+    At mu0 = mu1 = mu this reduces to mu (B+2)/(B+3). For rho > 1 both sums
+    are divided by rho^(B+2), so every power lies in [0, 1] and none
+    overflows.
     """
-    rho = mu0 / mu1
-    powers = [rho**j for j in range(buffer_capacity + 3)]
-    num = mu0 * sum(powers[: buffer_capacity + 1]) + mu1 * powers[buffer_capacity + 2]
+    b = buffer_capacity
+    if mu0 <= mu1:
+        powers = [(mu0 / mu1) ** j for j in range(b + 3)]
+        num = mu0 * sum(powers[: b + 1]) + mu1 * powers[b + 2]
+    else:
+        powers = [(mu1 / mu0) ** j for j in range(b + 3)]
+        num = mu0 * sum(powers[2:]) + mu1
     return num / sum(powers)

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line
 per criterion. Reference throughput grids are cross-validated two ways
 inside this file: against the two-server closed form where it applies and
-against the event-driven simulation for a spread of larger lines.
+against the simulator for a spread of larger lines.
 """
 
 import numpy as np

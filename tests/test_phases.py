@@ -127,6 +127,8 @@ def test_invalid_phase_lookup():
 def test_state_space_cap():
     with pytest.raises(StateSpaceTooLargeError):
         enumerate_phases(line([3] * 8), max_phases=1000)
+    with pytest.raises(StateSpaceTooLargeError):
+        enumerate_phases(line([0] * 1200), max_phases=10)
 
 
 def test_no_stations_single_empty_phase():

@@ -1,4 +1,7 @@
-"""Event-driven simulation: determinism, conservation, and agreement."""
+"""Departure-time recursion: determinism, conservation, and agreement."""
+
+import math
+import tracemalloc
 
 import pytest
 
@@ -111,3 +114,52 @@ def test_arrivals_input_checks():
         simulate_with_arrivals(cfg, -0.5, 10.0, seed=0)
     with pytest.raises(InputError):
         simulate_with_arrivals(cfg, 0.5, 0.0, seed=0)
+    for rate, horizon in [
+        (math.nan, 10.0),
+        (math.inf, 10.0),
+        (0.5, math.inf),
+        (0.5, math.nan),
+    ]:
+        with pytest.raises(InputError):
+            simulate_with_arrivals(cfg, rate, horizon, seed=0)
+    with pytest.raises(NegativeArrivalRateError):
+        simulate_with_arrivals(cfg, -math.inf, 10.0, seed=0)
+
+
+def test_seeded_outputs_are_pinned():
+    """Exact outputs of fixed seeded runs: a change to the draws or to the
+    recursion shows here."""
+    a = simulate_saturated(line([0.8, 1.0, 1.2], [1, 0]), 20_000, seed=3)
+    assert repr(a) == (
+        "SimResult(throughput_estimate=0.6008709010291308, "
+        "ci_half_width=0.006998725254684387, departures_counted=20000, seed=3, "
+        "total_departures=22000, customers_injected=22004, customers_in_system=4)"
+    )
+    b = simulate_saturated(line([0.9, 1.0, 1.1, 1.0], [2, 0, 3]), 20_000, seed=7)
+    assert repr(b) == (
+        "SimResult(throughput_estimate=0.6343954025495101, "
+        "ci_half_width=0.0054672318506691995, departures_counted=20000, seed=7, "
+        "total_departures=22000, customers_injected=22006, customers_in_system=6)"
+    )
+    c = simulate_with_arrivals(line([1.0, 0.9, 1.1], [1, 1]), 0.5, 5_000.0, seed=8)
+    assert (c.arrivals, c.departures, c.final_level, c.in_system) == (2560, 2560, 0, 0)
+    assert c.mean_level == pytest.approx(1.950865334859267, rel=1e-12, abs=0.0)
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_run_length():
+    cfg = line([1.0, 1.0, 1.0], [1, 2])
+    short = peak_bytes(lambda: simulate_saturated(cfg, 10_000, seed=1))
+    long = peak_bytes(lambda: simulate_saturated(cfg, 100_000, seed=1))
+    assert long < 1.1 * short
+    short = peak_bytes(lambda: simulate_with_arrivals(cfg, 0.5, 1e4, seed=1))
+    long = peak_bytes(lambda: simulate_with_arrivals(cfg, 0.5, 1e5, seed=1))
+    assert long < 1.1 * short

@@ -1,9 +1,12 @@
 """Saturation rate, stability verdict, and the two-server closed form."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tandemqbd import (
+    InputError,
     NegativeArrivalRateError,
     closed_form_two_server,
     is_stable,
@@ -117,3 +120,13 @@ def test_stability_verdicts():
     assert not is_stable(cfg, threshold * (1 + 1e-6))
     with pytest.raises(NegativeArrivalRateError):
         is_stable(cfg, -0.1)
+    with pytest.raises(InputError):
+        is_stable(cfg, float("nan"))
+
+
+def test_closed_form_does_not_overflow():
+    assert math.isfinite(closed_form_two_server(1e3, 1.0, 200))
+    assert closed_form_two_server(1e3, 1.0, 200) == pytest.approx(1.0, abs=1e-5)
+    report = lambda_max(line([50.0, 1.0], [300]))
+    assert abs(report.lambda_max - 1.0) <= 1e-10
+    assert abs(report.closed_form - report.lambda_max) <= 1e-10
