@@ -21,9 +21,9 @@ print(f"line: rates {service_rates}, interior buffers {buffer_capacities}")
 # The state of everything after the first server is a "phase". For one
 # downstream station with capacity 2 there are five: occupancies 0..3 plus
 # a fifth state meaning "full, and the first server is stuck holding a
-# finished customer".
+# finished customer". The phase space is an array with one phase per row.
 space = enumerate_phases(config)
-print(f"\n{space.num_phases} phases: {list(space.phases)}")
+print(f"\n{space.num_phases} phases: {space.phases.tolist()}")
 
 # Service completions either keep the backlog at the first station unchanged
 # or shrink it by one; each kind gets its own rate block.

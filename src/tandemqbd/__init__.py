@@ -10,7 +10,6 @@ independent discrete-event simulation of the physical line.
 
 from .errors import (
     EmptySystemError,
-    IndexOutOfRangeError,
     IneligibleServerError,
     InputError,
     InvalidPhaseError,
@@ -27,11 +26,9 @@ from .errors import (
 )
 from .generator import (
     QbdBlocks,
-    TransitionOutcome,
     apply_completion,
     build_blocks,
     eligible_completions,
-    is_blocked,
     triplet_lines,
 )
 from .model import (
@@ -44,11 +41,9 @@ from .phases import (
     DEFAULT_MAX_PHASES,
     Phase,
     PhaseSpace,
+    count_phases,
     count_phases_closed_form,
     enumerate_phases,
-    is_valid_phase,
-    phase_at,
-    phase_index,
 )
 from .simulate import (
     ArrivalSimResult,
@@ -70,7 +65,6 @@ __all__ = [
     "ArrivalSimResult",
     "DEFAULT_MAX_PHASES",
     "EmptySystemError",
-    "IndexOutOfRangeError",
     "IneligibleServerError",
     "InputError",
     "InvalidPhaseError",
@@ -91,22 +85,18 @@ __all__ = [
     "TandemQueueError",
     "TargetTooSmallError",
     "ThroughputReport",
-    "TransitionOutcome",
     "apply_completion",
     "build_blocks",
     "closed_form_two_server",
     "config_from_document",
+    "count_phases",
     "count_phases_closed_form",
     "eligible_completions",
     "enumerate_phases",
-    "is_blocked",
     "is_stable",
-    "is_valid_phase",
     "lambda_max",
     "load_config_file",
-    "phase_at",
     "phase_generator",
-    "phase_index",
     "simulate_saturated",
     "simulate_with_arrivals",
     "solve_stationary",

@@ -47,8 +47,12 @@ def _parse_server_counts(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
             raise InputError(f"expected a server range like 3..6: {text!r}")
-        return list(range(lo, hi + 1))
-    return _parse_int_list(text)
+        counts = list(range(lo, hi + 1))
+    else:
+        counts = _parse_int_list(text)
+    if not counts or min(counts) < 1:
+        raise InputError(f"expected at least one server count, each 1 or more: {text!r}")
+    return counts
 
 
 def _config_from_args(args: argparse.Namespace) -> TandemConfig:
@@ -165,7 +169,7 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     space = enumerate_phases(config, max_phases=args.max_states)
     print(space.num_phases)
     if args.list:
-        for m in space.phases:
+        for m in space.phases.tolist():
             print(",".join(str(v) for v in m))
     return 0
 

@@ -40,11 +40,7 @@ class StateSpaceTooLargeError(InputError):
 
 
 class InvalidPhaseError(InputError):
-    """A phase tuple violates the occupancy bounds or the blocking rule."""
-
-
-class IndexOutOfRangeError(InputError, IndexError):
-    """A phase or server index is outside the valid range."""
+    """A phase violates the occupancy bounds or the blocking rule."""
 
 
 class IneligibleServerError(InputError):

@@ -12,6 +12,10 @@ phase-changing completions that keep the level, and ``level_down`` for the
 ones that lower it by one. Arrivals would contribute a diagonal block
 (arrival rate times identity); they cancel out of every stationary
 computation done here, so no arrival rate is ever stored.
+
+:func:`apply_completion` is the completion rule for one phase, kept as the
+readable reference; :func:`build_blocks` applies it to the whole phase
+array at once, and the tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -21,17 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import IndexOutOfRangeError, IneligibleServerError
+from .errors import IneligibleServerError
 from .model import TandemConfig
 from .phases import Phase, PhaseSpace
-
-
-@dataclass(frozen=True)
-class TransitionOutcome:
-    """Result of one service completion: the new phase and the level step."""
-
-    new_phase: Phase
-    level_delta: int  # 0 or -1
 
 
 @dataclass(frozen=True)
@@ -47,20 +43,6 @@ class QbdBlocks:
     level_same: sparse.csr_matrix
     level_down: sparse.csr_matrix
     num_phases: int
-
-
-def is_blocked(config: TandemConfig, m: Phase, server: int) -> bool:
-    """True iff ``server`` is idled because the next station is full.
-
-    The last server can never be blocked. Server i < K is blocked exactly
-    when coordinate i+1 carries the blocking sentinel B_{i+1} + 2.
-    """
-    k = config.num_buffers
-    if not 0 <= server <= k:
-        raise IndexOutOfRangeError(f"server index {server} outside 0..{k}")
-    if server == k:
-        return False
-    return m[server] == config.buffer_capacities[server] + 2
 
 
 def eligible_completions(config: TandemConfig, m: Phase) -> tuple[int, ...]:
@@ -81,8 +63,8 @@ def eligible_completions(config: TandemConfig, m: Phase) -> tuple[int, ...]:
     return tuple(out)
 
 
-def apply_completion(config: TandemConfig, m: Phase, server: int) -> TransitionOutcome:
-    """Phase and level change when ``server`` completes a service.
+def apply_completion(config: TandemConfig, m: Phase, server: int) -> tuple[Phase, int]:
+    """New phase and level step (0 or -1) when ``server`` completes a service.
 
     The completed customer enters the next station if there is room, turns
     ``server`` into a blocked one if the next station is full, or departs
@@ -121,52 +103,55 @@ def apply_completion(config: TandemConfig, m: Phase, server: int) -> TransitionO
         # next station is at B+1: the server holds the customer and blocks
         new[server] = caps[server] + 2
 
-    return TransitionOutcome(new_phase=tuple(new), level_delta=level_delta)
+    return tuple(new), level_delta
 
 
 def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     """Assemble the level-preserving and level-decreasing rate blocks.
 
-    Rows are visited in phase order and servers in ascending order, so the
-    triplet streams (and the canonicalized CSR matrices) are identical
-    across runs.
+    The completion rule runs on all (phase, eligible server) pairs at once,
+    its release cascade as at most K masked passes toward the front. Exit
+    rates are summed in server order and the CSR matrices are canonical,
+    so the blocks are identical across runs.
     """
-    rates = config.service_rates
-    n = space.num_phases
-    rows_s: list[int] = []
-    cols_s: list[int] = []
-    vals_s: list[float] = []
-    rows_d: list[int] = []
-    cols_d: list[int] = []
-    vals_d: list[float] = []
-    exit_rate = np.zeros(n)
-
-    for r, m in enumerate(space.phases):
-        for i in eligible_completions(config, m):
-            out = apply_completion(config, m, i)
-            c = space.index_of[out.new_phase]
-            if out.level_delta == 0:
-                rows_s.append(r)
-                cols_s.append(c)
-                vals_s.append(rates[i])
-            else:
-                rows_d.append(r)
-                cols_d.append(c)
-                vals_d.append(rates[i])
-            exit_rate[r] += rates[i]
-
-    # diagonal of the level-preserving block balances the row sums to zero
-    rows_s.extend(range(n))
-    cols_s.extend(range(n))
-    vals_s.extend(-exit_rate)
-
-    level_same = sparse.coo_matrix(
-        (vals_s, (rows_s, cols_s)), shape=(n, n)
-    ).tocsr()
-    level_down = sparse.coo_matrix(
-        (vals_d, (rows_d, cols_d)), shape=(n, n)
-    ).tocsr()
-    return QbdBlocks(level_same=level_same, level_down=level_down, num_phases=n)
+    caps = np.asarray(config.buffer_capacities, dtype=np.int64)
+    phases = space.phases
+    n, k = phases.shape
+    always = np.ones((n, 1), dtype=bool)
+    has_customer = np.hstack([always, phases != 0])  # column i: station i
+    unblocked = np.hstack([phases != caps + 2, always])  # column i: server i
+    rows, servers = np.nonzero(has_customer & unblocked)  # row-major order
+    new = phases[rows]  # fancy indexing copies
+    releasing = np.ones(len(rows), dtype=bool)
+    moving = np.flatnonzero(servers < k)
+    at = servers[moving]
+    # a move (if room) releases station i, a block does not; both raise coordinate i
+    releasing[moving] = new[moving, at] <= caps[at]
+    new[moving, at] += 1
+    station = servers.copy()  # the station that lost a customer
+    for _ in range(k):
+        # its coordinate drops by one: a count falls, or a sentinel turns
+        # "full" as the customer held upstream slides in, releasing the
+        # station before it in turn
+        live = np.flatnonzero(releasing & (station > 0))
+        j = station[live] - 1  # coordinate of station j + 1
+        releasing[live] = new[live, j] == caps[j] + 2
+        new[live, j] -= 1
+        station[live] = j
+    cols = space.index(new)
+    rates = np.asarray(config.service_rates)[servers]
+    exit_rate = np.bincount(rows, weights=rates, minlength=n)
+    # the diagonal, in the level-preserving block, balances the row sums
+    diag = np.arange(n)
+    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    rates = np.concatenate([rates, -exit_rate])
+    # a cascade still releasing has reached station 0: the level drops
+    down = np.concatenate([releasing, np.zeros(n, dtype=bool)])
+    level_same, level_down = (
+        sparse.csr_matrix((rates[m], (rows[m], cols[m])), shape=(n, n))
+        for m in (~down, down)
+    )
+    return QbdBlocks(level_same, level_down, num_phases=n)
 
 
 def triplet_lines(matrix: sparse.csr_matrix) -> list[str]:

@@ -42,7 +42,7 @@ class TandemConfig:
 
     @property
     def num_buffers(self) -> int:
-        """Number of finite interior buffers (the phase tuple length)."""
+        """Number of finite interior buffers (the phase length)."""
         return len(self.buffer_capacities)
 
 

@@ -1,20 +1,26 @@
-"""Enumeration, counting, and indexing of the downstream-station states.
+"""Counting, enumeration and indexing of the downstream-station states.
 
-A phase is a K-tuple (m_1, ..., m_K): m_i is the number of customers at
+A phase is a K-vector (m_1, ..., m_K): m_i is the number of customers at
 station i (buffer plus the one at the server), except that the sentinel
 value m_i = B_i + 2 means station i holds B_i + 1 customers *and* is
 blocking the server upstream of it. A station cannot be empty while the
 station after it carries the blocking sentinel, which couples adjacent
 coordinates and makes the count grow slower than the raw product.
+
+A phase space is one (M, K) integer array, a phase per row, in ascending
+lexicographic order, which is also the order of the rows' mixed-radix
+codes: a binary search over the codes finds the position of any row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (
-    IndexOutOfRangeError,
     InputError,
     InvalidPhaseError,
     NegativeBufferError,
@@ -27,57 +33,64 @@ Phase = tuple[int, ...]
 DEFAULT_MAX_PHASES = 200_000
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    """All valid phases of a line, in ascending lexicographic order.
+def _codes(rows: np.ndarray, caps: Sequence[int]) -> np.ndarray:
+    """Mixed-radix codes of phase rows: digit i is m_i, with radix B_i + 3.
 
-    ``index_of`` is the exact inverse of ``phases``; both are fixed at
-    construction and safe for concurrent reads.
+    Codes stay below the product of the radices, which is at most M**1.59
+    for M phases, so they fit in int64 whenever the rows fit in memory.
+    """
+    code = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i, b in enumerate(caps):
+        code = code * (b + 3) + rows[..., i]
+    return code
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSpace:
+    """All valid phases of a line, one per row, in lexicographic order.
+
+    ``codes[r]`` is the code of ``phases[r]`` and increases with r. Both
+    arrays are read-only, so a space is safe for concurrent reads.
     """
 
     config: TandemConfig
-    phases: tuple[Phase, ...]
-    index_of: Mapping[Phase, int] = field(repr=False)
+    phases: np.ndarray
+    codes: np.ndarray = field(repr=False)
 
     @property
     def num_phases(self) -> int:
         return len(self.phases)
 
+    def index(self, rows: ArrayLike) -> np.ndarray:
+        """Position of each phase in ``rows`` (one phase or an array of them).
 
-def is_valid_phase(config: TandemConfig, m: Phase) -> bool:
-    """True iff ``m`` satisfies the occupancy bounds and the blocking rule."""
-    caps = config.buffer_capacities
-    if len(m) != len(caps):
-        return False
-    for i, v in enumerate(m):
-        if not 0 <= v <= caps[i] + 2:
-            return False
-        # a station cannot be empty while blocked by the next one
-        if i > 0 and m[i - 1] == 0 and v == caps[i] + 2:
-            return False
-    return True
+        Raises InvalidPhaseError if any row is not a phase of this line.
+        """
+        caps = self.config.buffer_capacities
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != (len(caps),):
+            raise InvalidPhaseError(f"a phase has {len(caps)} values: {rows.shape}")
+        in_range = ((rows >= 0) & (rows <= np.asarray(caps) + 2)).all(axis=-1)
+        codes = _codes(rows, caps)
+        pos = np.searchsorted(self.codes, codes).clip(max=self.num_phases - 1)
+        found = in_range & (self.codes[pos] == codes)
+        if not found.all():
+            bad = rows.reshape(-1, len(caps))[~found.ravel()][0]
+            raise InvalidPhaseError(f"{tuple(bad.tolist())} is not a phase of the line")
+        return pos
 
 
-def _generate(caps: tuple[int, ...]) -> Iterator[Phase]:
-    """Yield valid phases lexicographically.
+def count_phases(buffer_capacities: Sequence[int]) -> int:
+    """Exact phase count of a line with these (non-negative) capacities.
 
-    An odometer: bump the rightmost coordinate that can still grow and zero
-    the ones after it. No coordinate may reach the blocking sentinel while
-    the one before it is zero.
+    Counts prefixes ending in an empty station (``zero``) and in an occupied
+    one (``rest``; station 0 is never empty). Only an occupied station may
+    be followed by the sentinel. Python integers do not overflow.
     """
-    tops = [c + 2 for c in caps]
-    m = [0] * len(caps)
-    while True:
-        yield tuple(m)
-        i = len(m) - 1
-        while i >= 0 and (
-            m[i] == tops[i] or (m[i] + 1 == tops[i] and i > 0 and m[i - 1] == 0)
-        ):
-            i -= 1
-        if i < 0:
-            return
-        m[i] += 1
-        m[i + 1 :] = [0] * (len(m) - i - 1)
+    zero, rest = 0, 1
+    for b in buffer_capacities:
+        zero, rest = zero + rest, zero * (b + 1) + rest * (b + 2)
+    return zero + rest
 
 
 def enumerate_phases(
@@ -85,61 +98,35 @@ def enumerate_phases(
 ) -> PhaseSpace:
     """Enumerate all valid phases of ``config`` in lexicographic order.
 
-    Raises StateSpaceTooLargeError as soon as the count passes
-    ``max_phases``; nothing is paged or truncated.
+    A line with more than ``max_phases`` phases raises
+    StateSpaceTooLargeError before anything is allocated. Rows grow one
+    coordinate at a time: each row is repeated once per value of the new
+    coordinate, and rows where it blocks an empty station are dropped.
     """
     caps = config.buffer_capacities
-    phases: list[Phase] = []
-    for m in _generate(caps):
-        if len(phases) >= max_phases:
-            raise StateSpaceTooLargeError(
-                f"phase count exceeds the cap of {max_phases}; raise max_phases "
-                "to analyze this line"
-            )
-        phases.append(m)
-    out = tuple(phases)
-    return PhaseSpace(
-        config=config,
-        phases=out,
-        index_of={m: i for i, m in enumerate(out)},
-    )
+    count = count_phases(caps)
+    if count > max_phases:
+        raise StateSpaceTooLargeError(
+            f"line has {count} phases, above the cap of {max_phases}; raise "
+            "max_phases to analyze this line"
+        )
+    phases = np.zeros((1, 0), dtype=np.int64)
+    for i, b in enumerate(caps):
+        values = np.tile(np.arange(b + 3, dtype=np.int64), len(phases))
+        phases = np.column_stack([np.repeat(phases, b + 3, axis=0), values])
+        if i > 0:
+            phases = phases[(values != b + 2) | (phases[:, i - 1] != 0)]
+    codes = _codes(phases, caps)
+    phases.flags.writeable = codes.flags.writeable = False
+    return PhaseSpace(config=config, phases=phases, codes=codes)
 
 
 def count_phases_closed_form(buffer_capacity: int, num_stations: int) -> int:
-    """Exact phase count for ``num_stations`` stations sharing one capacity.
+    """Validated :func:`count_phases` for stations sharing one capacity B.
 
-    Evaluates the linear recurrence c_0 = 1, c_1 = B + 3,
-    c_k = (B + 3) c_{k-1} - c_{k-2} in exact integer arithmetic. The
-    recurrence solves the same characteristic equation
-    x^2 - (B + 3) x + 1 = 0 as the radical expression for the count, so the
-    two agree exactly; the integer form cannot lose precision. Python
-    integers are unbounded, so no overflow is possible.
-    """
+    It satisfies c_k = (B + 3) c_{k-1} - c_{k-2}, c_0 = 1, c_1 = B + 3."""
     if buffer_capacity < 0:
         raise NegativeBufferError("buffer capacity must be non-negative")
     if num_stations < 0:
         raise InputError("station count must be non-negative")
-    prev, cur = 1, buffer_capacity + 3
-    if num_stations == 0:
-        return prev
-    for _ in range(num_stations - 1):
-        prev, cur = cur, (buffer_capacity + 3) * cur - prev
-    return cur
-
-
-def phase_index(space: PhaseSpace, m: Phase) -> int:
-    """Position of phase ``m`` in the canonical ordering."""
-    m = tuple(m)
-    try:
-        return space.index_of[m]
-    except KeyError:
-        raise InvalidPhaseError(f"{m} is not a valid phase of this line") from None
-
-
-def phase_at(space: PhaseSpace, idx: int) -> Phase:
-    """Inverse of :func:`phase_index`: the phase at position ``idx``."""
-    if not 0 <= idx < space.num_phases:
-        raise IndexOutOfRangeError(
-            f"phase index {idx} outside 0..{space.num_phases - 1}"
-        )
-    return space.phases[idx]
+    return count_phases([buffer_capacity] * num_stations)

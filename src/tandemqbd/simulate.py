@@ -43,6 +43,7 @@ from .errors import InputError, NegativeArrivalRateError, TargetTooSmallError
 from .model import TandemConfig
 
 MIN_TARGET_DEPARTURES = 10_000
+MAX_EXPECTED_ARRIVALS = 10**9  # arrival_rate * horizon; more would run for hours
 WARMUP_FRACTION = 0.1
 NUM_BATCHES = 20
 
@@ -221,6 +222,8 @@ def simulate_with_arrivals(
         raise InputError(f"arrival rate must be finite, got {arrival_rate}")
     if not 0.0 < horizon < math.inf:
         raise InputError(f"horizon must be positive and finite, got {horizon}")
+    if not arrival_rate * horizon <= MAX_EXPECTED_ARRIVALS:
+        raise InputError(f"arrival_rate * horizon exceeds {MAX_EXPECTED_ARRIVALS:.0e}")
     streams, spare = _spawn_streams(config, seed, extra=1)
     arrival_times = (
         _arrival_times(_ExpStream(spare[0], arrival_rate), horizon)

@@ -127,12 +127,12 @@ def test_sweep_round_trip(capsys):
         assert f"{report.lambda_max:.9f}" == printed
 
 
-def test_sweep_empty_grid(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--servers", "4..3", "--mu0", "1.0",
-    )
-    assert code == 0
-    assert out.strip() == SWEEP_HEADER
+@pytest.mark.parametrize("servers", ["6..3", "0..2", "0", "3,-1", ""])
+def test_sweep_rejects_bad_server_counts(capsys, servers):
+    code, out, err = run(capsys, "sweep", "--servers", servers, "--mu0", "1.0")
+    assert code == 2
+    assert out == ""
+    assert "server count" in err
 
 
 def test_sweep_json_and_full_precision(capsys):

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from tandemqbd import (
-    IndexOutOfRangeError,
     IneligibleServerError,
     apply_completion,
     build_blocks,
     eligible_completions,
     enumerate_phases,
-    is_blocked,
-    is_valid_phase,
     triplet_lines,
     validate_config,
 )
@@ -66,15 +63,6 @@ def test_golden_two_server_blocks(seed):
     np.testing.assert_array_equal(blocks.level_down.toarray(), want_down)
 
 
-def test_is_blocked():
-    cfg = line([1.0, 1.0], [2])
-    assert is_blocked(cfg, (4,), 0)
-    assert not is_blocked(cfg, (3,), 0)  # station full but server not yet stuck
-    assert not is_blocked(cfg, (4,), 1)  # the last server is never blocked
-    with pytest.raises(IndexOutOfRangeError):
-        is_blocked(cfg, (0,), 2)
-
-
 def test_eligible_completions():
     cfg = line([1.0, 1.0], [2])
     assert eligible_completions(cfg, (0,)) == (0,)
@@ -85,15 +73,12 @@ def test_eligible_completions():
 
 def test_apply_completion_examples():
     cfg = line([1.0, 1.0], [2])
-    out = apply_completion(cfg, (3,), 0)
-    assert (out.new_phase, out.level_delta) == ((4,), 0)
-    out = apply_completion(cfg, (4,), 1)
-    assert (out.new_phase, out.level_delta) == ((3,), -1)
+    assert apply_completion(cfg, (3,), 0) == ((4,), 0)
+    assert apply_completion(cfg, (4,), 1) == ((3,), -1)
 
     # a fully blocked chain collapses in one atomic step
     cfg2 = line([1.0, 1.0, 1.0], [0, 0])
-    out = apply_completion(cfg2, (2, 2), 2)
-    assert (out.new_phase, out.level_delta) == ((1, 1), -1)
+    assert apply_completion(cfg2, (2, 2), 2) == ((1, 1), -1)
 
     with pytest.raises(IneligibleServerError):
         apply_completion(cfg, (4,), 0)
@@ -113,13 +98,36 @@ def all_small_lines():
 @pytest.mark.parametrize("buffers", all_small_lines())
 def test_kernel_closure(buffers):
     cfg = line([1.0] * (len(buffers) + 1), buffers)
-    for m in enumerate_phases(cfg).phases:
+    space = enumerate_phases(cfg)
+    for m in space.phases.tolist():
         servers = eligible_completions(cfg, m)
         assert servers, f"phase {m} has no way out"
         for i in servers:
-            out = apply_completion(cfg, m, i)
-            assert is_valid_phase(cfg, out.new_phase), (m, i, out)
-            assert out.level_delta in (0, -1)
+            new_phase, level_delta = apply_completion(cfg, m, i)
+            space.index(new_phase)  # raises InvalidPhaseError if invalid
+            assert level_delta in (0, -1)
+
+
+@pytest.mark.parametrize("buffers", all_small_lines() + [[0, 3, 1, 2]])
+def test_blocks_match_scalar_kernel(buffers):
+    """The array assembly equals the blocks built phase by phase from the
+    scalar kernel, entry for entry."""
+    rates = [0.7 + 0.13 * i for i in range(len(buffers) + 1)]
+    cfg = line(rates, buffers)
+    space = enumerate_phases(cfg)
+    rows = [tuple(m) for m in space.phases.tolist()]
+    position = {m: r for r, m in enumerate(rows)}
+    n = len(rows)
+    want_same, want_down = np.zeros((n, n)), np.zeros((n, n))
+    for r, m in enumerate(rows):
+        for i in eligible_completions(cfg, m):
+            new_phase, level_delta = apply_completion(cfg, m, i)
+            block = want_down if level_delta else want_same
+            block[r, position[new_phase]] += rates[i]
+            want_same[r, r] -= rates[i]
+    blocks = build_blocks(cfg, space)
+    np.testing.assert_array_equal(blocks.level_same.toarray(), want_same)
+    np.testing.assert_array_equal(blocks.level_down.toarray(), want_down)
 
 
 @pytest.mark.parametrize("buffers", all_small_lines())
@@ -155,7 +163,7 @@ def test_at_most_one_level_drop_per_phase(buffers):
     caps = cfg.buffer_capacities
     k = cfg.num_buffers
     nnz_per_row = np.diff(blocks.level_down.indptr)
-    for r, m in enumerate(space.phases):
+    for r, m in enumerate(space.phases.tolist()):
         assert nnz_per_row[r] <= 1
         # the only possible drop: the first unblocked server in the chain
         # starting at the front, provided its own downstream has room

@@ -2,19 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from tandemqbd import (
-    IndexOutOfRangeError,
     InvalidPhaseError,
     NegativeBufferError,
     StateSpaceTooLargeError,
+    count_phases,
     count_phases_closed_form,
     enumerate_phases,
-    is_valid_phase,
-    phase_at,
-    phase_index,
     validate_config,
 )
 
@@ -39,15 +38,16 @@ def line(buffers):
 
 def test_single_buffer_capacity_two():
     space = enumerate_phases(line([2]))
-    assert space.phases == ((0,), (1,), (2,), (3,), (4,))
+    assert space.phases.tolist() == [[0], [1], [2], [3], [4]]
+    assert space.phases.dtype == np.int64
     assert space.num_phases == 5
 
 
 def test_two_zero_buffers():
     space = enumerate_phases(line([0, 0]))
     assert space.num_phases == 8
-    assert (0, 2) not in space.index_of  # empty-and-blocked is impossible
-    assert phase_at(space, 7) == (2, 2)
+    assert [0, 2] not in space.phases.tolist()  # empty-and-blocked is impossible
+    assert space.phases[7].tolist() == [2, 2]
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 2, 5])
@@ -57,26 +57,29 @@ def test_single_station_count(capacity):
 
 @pytest.mark.parametrize(
     "buffers",
-    [[0], [3], [0, 0], [2, 0], [0, 2], [1, 2, 0], [2, 1], [0, 1, 0, 2]],
+    [[0], [3], [0, 0], [2, 0], [0, 2], [1, 2, 0], [2, 1], [0, 1, 0, 2],
+     [0, 3, 1, 2], [2, 0, 3, 1, 0, 2]],
 )
 def test_enumeration_matches_brute_force(buffers):
     space = enumerate_phases(line(buffers))
-    assert list(space.phases) == brute_force_phases(buffers)
+    expected = brute_force_phases(buffers)
+    assert [tuple(m) for m in space.phases.tolist()] == expected
+    assert count_phases(buffers) == space.num_phases == len(expected)
 
 
 def test_phases_sorted_and_indexed():
     space = enumerate_phases(line([1, 2]))
-    assert list(space.phases) == sorted(space.phases)
-    assert len(set(space.phases)) == space.num_phases
-    for i, m in enumerate(space.phases):
-        assert space.index_of[m] == i
-        assert phase_at(space, phase_index(space, m)) == m
-
-
-def test_all_enumerated_phases_are_valid():
-    cfg = line([2, 0, 1])
-    for m in enumerate_phases(cfg).phases:
-        assert is_valid_phase(cfg, m)
+    rows = [tuple(m) for m in space.phases.tolist()]
+    assert rows == sorted(rows)
+    assert len(set(rows)) == space.num_phases
+    assert (np.diff(space.codes) > 0).all()
+    positions = np.arange(space.num_phases)
+    np.testing.assert_array_equal(space.index(space.phases), positions)
+    np.testing.assert_array_equal(space.index(space.phases[::-1]), positions[::-1])
+    for i, m in enumerate(rows):
+        assert space.index(m) == i
+    with pytest.raises(ValueError):
+        space.phases[0, 0] = 1  # read-only
 
 
 def test_recurrence_values():
@@ -114,14 +117,9 @@ def test_recurrence_rejects_bad_inputs():
 
 def test_invalid_phase_lookup():
     space = enumerate_phases(line([0, 0]))
-    with pytest.raises(InvalidPhaseError):
-        phase_index(space, (0, 2))
-    with pytest.raises(InvalidPhaseError):
-        phase_index(space, (0,))
-    with pytest.raises(IndexOutOfRangeError):
-        phase_at(space, 8)
-    with pytest.raises(IndexOutOfRangeError):
-        phase_at(space, -1)
+    for bad in [(0, 2), (0,), (3, 0), (-1, 0), (0, 3), [[1, 1], [0, 2]]]:
+        with pytest.raises(InvalidPhaseError):
+            space.index(bad)
 
 
 def test_state_space_cap():
@@ -129,8 +127,17 @@ def test_state_space_cap():
         enumerate_phases(line([3] * 8), max_phases=1000)
     with pytest.raises(StateSpaceTooLargeError):
         enumerate_phases(line([0] * 1200), max_phases=10)
+    # ~10^12 phases: the count is refused before any array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError, match="1000000000003 phases"):
+            enumerate_phases(line([10**12]))
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_no_stations_single_empty_phase():
     space = enumerate_phases(validate_config([1.0], []))
-    assert space.phases == ((),)
+    assert space.phases.shape == (1, 0)
+    assert space.index(()) == 0

@@ -119,6 +119,8 @@ def test_arrivals_input_checks():
         (math.inf, 10.0),
         (0.5, math.inf),
         (0.5, math.nan),
+        (1e300, 10.0),  # ~1e301 expected arrivals
+        (1e5, 1e5),
     ]:
         with pytest.raises(InputError):
             simulate_with_arrivals(cfg, rate, horizon, seed=0)
