@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .errors import InputError, NumericalError
-from .generator import build_blocks, triplet_lines
+from .generator import triplet_lines
 from .model import TandemConfig, load_config_file, validate_config
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
 from .simulate import simulate_saturated
@@ -83,9 +83,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = lambda_max(config, max_phases=args.max_states)
-    if args.dump_blocks and config.num_buffers >= 1:
-        space = enumerate_phases(config, max_phases=args.max_states)
-        blocks = build_blocks(config, space)
+    if args.dump_blocks and report.blocks is not None:
+        blocks = report.blocks
         n = blocks.num_phases
         print(f"# level-preserving block {n} x {n}", file=sys.stderr)
         for line in triplet_lines(blocks.level_same):

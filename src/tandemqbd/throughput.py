@@ -10,14 +10,14 @@ an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NegativeArrivalRateError
 from .model import TandemConfig
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
-from .generator import build_blocks
+from .generator import QbdBlocks, build_blocks
 from .stationary import phase_generator, solve_stationary
 
 
@@ -28,6 +28,8 @@ class ThroughputReport:
     ``closed_form`` is filled only for two-server lines, where the
     birth-death reference below applies; it should match ``lambda_max`` to
     solver precision and is surfaced so any disagreement is visible.
+    ``blocks`` are the rate blocks the answer was solved from (None for a
+    one-server line, which needs none).
     """
 
     config: TandemConfig
@@ -36,6 +38,7 @@ class ThroughputReport:
     pi: np.ndarray
     residual: float
     closed_form: float | None = None
+    blocks: QbdBlocks | None = field(default=None, repr=False)
 
 
 def lambda_max(
@@ -75,6 +78,7 @@ def lambda_max(
         pi=stat.pi,
         residual=stat.residual,
         closed_form=closed,
+        blocks=blocks,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from tandemqbd import SingularSystemError, lambda_max, validate_config
@@ -75,11 +76,28 @@ def test_analyze_dump_pi(capsys):
     assert payload["pi"] == pytest.approx([0.2] * 5, abs=1e-12)
 
 
-def test_analyze_dump_blocks(capsys):
+def test_analyze_dump_blocks(capsys, monkeypatch):
+    import tandemqbd.cli as cli_module
+    import tandemqbd.throughput as throughput
+
+    calls = []
+    for module in (throughput, cli_module):
+        for name in ("enumerate_phases", "build_blocks"):
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
     code, out, err = run(
         capsys, "analyze", "--mu", "1,1", "--buffers", "2", "--dump-blocks"
     )
     assert code == 0
+    # the dump reuses the analysis's blocks instead of building them again
+    assert sorted(calls) == ["build_blocks", "enumerate_phases"]
     json.loads(out)  # stdout stays machine readable
     assert "# level-preserving block 5 x 5" in err
     assert "# level-decreasing block 5 x 5" in err
@@ -93,6 +111,17 @@ def test_analyze_max_states_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_analyze_non_finite_rates_exit_three(capsys):
+    # the exit rates overflow to inf: the residual is nan, never printed
+    with np.errstate(invalid="ignore", over="ignore"):
+        code, out, err = run(
+            capsys, "analyze", "--mu", "1e308,1e308,1e308", "--buffers", "0"
+        )
+    assert code == 3
+    assert out == ""
+    assert "residual" in err
 
 
 def test_sweep_csv_reference_values(capsys):
@@ -192,6 +221,15 @@ def test_phases_list(capsys):
     assert len(lines) == 9
     assert "0,2" not in lines[1:]
     assert "2,2" in lines[1:]
+
+
+def test_phases_over_cap_message_is_short(capsys):
+    code, out, err = run(capsys, "phases", "--k", "1200")
+    assert code == 2
+    assert out == ""
+    assert "about 10^501 phases" in err
+    assert "--max-states" in err
+    assert len(err) < 200
 
 
 def test_numerical_errors_exit_three(capsys, monkeypatch):

@@ -2,21 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tandemqbd import (
     NonPositiveSolutionError,
     SingularSystemError,
     build_blocks,
     enumerate_phases,
+    lambda_max,
     phase_generator,
     solve_stationary,
     validate_config,
 )
+from tandemqbd.stationary import SPARSE_MIN_PHASES
 
 
 def generator_for(rates, buffers):
     cfg = validate_config(rates, buffers)
-    return phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    return phase_generator(build_blocks(cfg, enumerate_phases(cfg))).toarray()
 
 
 def power_method_pi(A, tol=1e-13, max_iter=2_000_000):
@@ -88,9 +91,11 @@ CONFIGS = [
     ([1.5, 0.7, 1.1, 0.9], [2, 0, 1]),
     ([0.8, 1.0, 1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1, 1]),  # 780 phases
 ]
+# 2,911 phases, well above SPARSE_MIN_PHASES
+LARGE = ([1.25] + [1.0] * 6, [1] * 6)
 
 
-@pytest.mark.parametrize("rates,buffers", CONFIGS)
+@pytest.mark.parametrize("rates,buffers", CONFIGS + [LARGE])
 def test_residual_bound(rates, buffers):
     A = generator_for(rates, buffers)
     result = solve_stationary(A)
@@ -118,6 +123,42 @@ def test_agrees_with_power_method(rates, buffers):
     np.testing.assert_allclose(direct, iterated, atol=1e-8)
 
 
+def test_sparse_solve_matches_dense_lu():
+    # the same normalised system, factored densely, folds to the same rate
+    cfg = validate_config(*LARGE)
+    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    A = phase_generator(blocks).toarray()
+    assert len(A) > SPARSE_MIN_PHASES
+    system = A.T.copy()
+    system[-1, :] = 1.0
+    rhs = np.zeros(len(A))
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    dense = pi @ np.asarray(blocks.level_down.sum(axis=1)).ravel()
+    assert abs(lambda_max(cfg).lambda_max - dense) <= 1e-12
+
+
+def test_long_buffers_before_fast_servers():
+    # 10,608 phases; the slow first server is the bottleneck, buffers ample
+    report = lambda_max(validate_config([1.0, 30.0, 30.0], [100, 100]))
+    assert report.num_phases == 10_608
+    assert np.isfinite(report.lambda_max)
+    assert abs(report.lambda_max - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # dense and sparse branch
+)
+def test_non_finite_generator_is_singular(rates, buffers):
+    # the exit rates overflow to inf, so the solution and residual are nan
+    cfg = validate_config(rates, buffers)
+    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SingularSystemError):
+            solve_stationary(A)
+
+
 def test_all_zero_generator_is_singular():
     with pytest.raises(SingularSystemError):
         solve_stationary(np.zeros((2, 2)))
@@ -128,6 +169,15 @@ def test_disconnected_generator_is_singular():
     A = np.zeros((4, 4))
     A[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
     A[2:, 2:] = [[-2.0, 2.0], [2.0, -2.0]]
+    with pytest.raises(SingularSystemError):
+        solve_stationary(A)
+
+
+def test_disconnected_sparse_generator_is_singular():
+    # two rings, together above SPARSE_MIN_PHASES: the sparse branch runs
+    h = SPARSE_MIN_PHASES // 2 + 1
+    ring = sparse.eye(h, k=1) + sparse.eye(h, k=1 - h) - sparse.eye(h)
+    A = sparse.block_diag([ring, 2.0 * ring], format="csr")
     with pytest.raises(SingularSystemError):
         solve_stationary(A)
 
