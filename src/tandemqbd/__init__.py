@@ -10,7 +10,6 @@ independent discrete-event simulation of the physical line.
 
 from .errors import (
     EmptySystemError,
-    IneligibleServerError,
     InputError,
     InvalidPhaseError,
     LengthMismatchError,
@@ -24,13 +23,7 @@ from .errors import (
     TandemQueueError,
     TargetTooSmallError,
 )
-from .generator import (
-    QbdBlocks,
-    apply_completion,
-    build_blocks,
-    eligible_completions,
-    triplet_lines,
-)
+from .generator import QbdBlocks, build_blocks, triplet_lines
 from .model import (
     TandemConfig,
     config_from_document,
@@ -39,7 +32,6 @@ from .model import (
 )
 from .phases import (
     DEFAULT_MAX_PHASES,
-    Phase,
     PhaseSpace,
     count_phases,
     count_phases_closed_form,
@@ -65,7 +57,6 @@ __all__ = [
     "ArrivalSimResult",
     "DEFAULT_MAX_PHASES",
     "EmptySystemError",
-    "IneligibleServerError",
     "InputError",
     "InvalidPhaseError",
     "LengthMismatchError",
@@ -74,7 +65,6 @@ __all__ = [
     "NonPositiveRateError",
     "NonPositiveSolutionError",
     "NumericalError",
-    "Phase",
     "PhaseSpace",
     "QbdBlocks",
     "SimResult",
@@ -85,13 +75,11 @@ __all__ = [
     "TandemQueueError",
     "TargetTooSmallError",
     "ThroughputReport",
-    "apply_completion",
     "build_blocks",
     "closed_form_two_server",
     "config_from_document",
     "count_phases",
     "count_phases_closed_form",
-    "eligible_completions",
     "enumerate_phases",
     "is_stable",
     "lambda_max",

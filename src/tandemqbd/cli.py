@@ -83,7 +83,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = lambda_max(config, max_phases=args.max_states)
-    if args.dump_blocks and report.blocks is not None:
+    if args.dump_blocks:
         blocks = report.blocks
         n = blocks.num_phases
         print(f"# level-preserving block {n} x {n}", file=sys.stderr)

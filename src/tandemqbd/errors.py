@@ -20,7 +20,7 @@ class NumericalError(TandemQueueError, ArithmeticError):
 
 
 class NonPositiveRateError(InputError):
-    """A service rate is zero, negative, or not finite."""
+    """A service rate is zero, negative or not finite, or the rates' sum is not."""
 
 
 class NegativeBufferError(InputError):
@@ -41,10 +41,6 @@ class StateSpaceTooLargeError(InputError):
 
 class InvalidPhaseError(InputError):
     """A phase violates the occupancy bounds or the blocking rule."""
-
-
-class IneligibleServerError(InputError):
-    """A service completion was requested for a server that cannot complete."""
 
 
 class NegativeArrivalRateError(InputError):

@@ -57,11 +57,17 @@ def validate_config(
     rates = tuple(float(r) for r in raw_rates)
     if not rates:
         raise EmptySystemError("a tandem line needs at least one server")
+    total = 0.0
     for i, r in enumerate(rates):
         if not (math.isfinite(r) and r > 0.0):
             raise NonPositiveRateError(
                 f"service rate {i} must be a positive finite number, got {r!r}"
             )
+        total += r
+    # a phase's exit rate sums some of the rates in this order, so it stays
+    # finite too
+    if math.isinf(total):
+        raise NonPositiveRateError("the service rates sum past the largest double")
     try:
         buffers = tuple(operator.index(b) for b in raw_buffers)
     except TypeError:

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .model import TandemConfig
 
-Phase = tuple[int, ...]
-
 # fill-in of the sparse LU grows about as M**2: on a 2-vCPU host 10,864
 # phases solve in 5 s and 300 MB, 40,545 in minutes and 2.3 GB
 DEFAULT_MAX_PHASES = 50_000

@@ -23,8 +23,9 @@ each validates the other.
 Randomness is pinned for reproducibility across machines: the master seed
 feeds ``numpy.random.SeedSequence``, one spawned child per server (plus one
 for the arrival process, when used) drives a PCG64 bit generator, and
-exponential variates come from the inverse transform -log1p(-u)/rate. The
-n-th draw of server i's stream is customer n's service time there.
+exponential variates come from the inverse transform -log1p(-u) * (1/rate)
+on uniforms drawn in blocks of 4096. The n-th draw of server i's stream is
+customer n's service time there.
 Identical (config, seed, target) triples give bit-identical results.
 """
 
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import stats
 
 from .errors import InputError, NegativeArrivalRateError, TargetTooSmallError
 from .model import TandemConfig
@@ -46,6 +46,8 @@ MIN_TARGET_DEPARTURES = 10_000
 MAX_EXPECTED_ARRIVALS = 10**9  # arrival_rate * horizon; more would run for hours
 WARMUP_FRACTION = 0.1
 NUM_BATCHES = 20
+# Student t quantile t_{0.975, NUM_BATCHES - 1}, as scipy.stats.t.ppf gives it
+T_975 = 2.0930240544083087
 
 
 @dataclass(frozen=True)
@@ -80,42 +82,30 @@ class ArrivalSimResult:
     seed: int
 
 
-class _ExpStream:
-    """Block-buffered inverse-transform exponential sampler."""
-
-    __slots__ = ("_rng", "_scale", "_buf", "_pos")
-    _BLOCK = 4096
-
-    def __init__(self, seed_seq: np.random.SeedSequence, rate: float):
-        self._rng = np.random.Generator(np.random.PCG64(seed_seq))
-        self._scale = 1.0 / rate
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def draw(self) -> float:
-        if self._pos == len(self._buf):
-            u = self._rng.random(self._BLOCK)
-            self._buf = (-np.log1p(-u) * self._scale).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+def _exp_draws(seed_seq: np.random.SeedSequence, rate: float) -> Iterator[float]:
+    """Endless exponential variates of ``rate``, drawn in blocks of 4096."""
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    scale = 1.0 / rate  # not / rate: dividing each draw changes its bits
+    while True:
+        with np.errstate(over="ignore"):  # an overflowing draw is inf
+            block = (-np.log1p(-rng.random(4096)) * scale).tolist()
+        yield from block
 
 
 def _spawn_streams(
     config: TandemConfig, seed: int, extra: int
-) -> tuple[list[_ExpStream], list[np.random.SeedSequence]]:
+) -> tuple[list[Iterator[float]], list[np.random.SeedSequence]]:
     """One independent stream per server, plus ``extra`` spare children."""
     root = np.random.SeedSequence(seed % 2**64)
     children = root.spawn(config.num_servers + extra)
     streams = [
-        _ExpStream(children[i], rate) for i, rate in enumerate(config.service_rates)
+        _exp_draws(children[i], rate) for i, rate in enumerate(config.service_rates)
     ]
     return streams, children[config.num_servers :]
 
 
 def _departures(
-    config: TandemConfig, streams: list[_ExpStream], arrival_times: Iterable[float]
+    config: TandemConfig, streams: list[Iterator[float]], arrival_times: Iterable[float]
 ) -> Iterator[tuple[float, float, float]]:
     """Yield (A(n), D_0(n), D_K(n)) for each customer n, in arrival order.
 
@@ -129,7 +119,8 @@ def _departures(
         deque([0.0] * (b + 1), maxlen=b + 1)
         for b in (0, *config.buffer_capacities)
     ]
-    stages = list(zip(rings, rings[1:] + [(-math.inf,)], [s.draw for s in streams]))
+    draws = [s.__next__ for s in streams]
+    stages = list(zip(rings, rings[1:] + [(-math.inf,)], draws))
     first = rings[0]
     for a in arrival_times:
         d = a
@@ -173,6 +164,14 @@ def simulate_saturated(
         if departures == total_needed:
             break
 
+    if not math.isfinite(t):
+        # every later customer leaves station 0 by time inf: the count below
+        # would never end
+        raise InputError(
+            "the simulated clock overflowed; the service times are too long "
+            "to represent"
+        )
+
     # one customer is injected at the start and one each time station 0 frees
     # up; customers behind the last one counted may have moved on by time t
     injected = departures + 1
@@ -182,9 +181,14 @@ def simulate_saturated(
         injected += 1
 
     estimate = target_departures / (t - t_warm)
-    rates = batch / np.diff([t_warm] + boundaries)
-    t_crit = stats.t.ppf(0.975, NUM_BATCHES - 1)
-    half_width = float(t_crit * rates.std(ddof=1) / math.sqrt(NUM_BATCHES))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = batch / np.diff([t_warm] + boundaries)
+        half_width = float(T_975 * rates.std(ddof=1) / math.sqrt(NUM_BATCHES))
+    if not (math.isfinite(estimate) and math.isfinite(half_width)):
+        raise InputError(
+            "the batch throughputs overflow the confidence interval; "
+            "the service rates are too large to simulate"
+        )
     return SimResult(
         throughput_estimate=estimate,
         ci_half_width=half_width,
@@ -196,12 +200,12 @@ def simulate_saturated(
     )
 
 
-def _arrival_times(stream: _ExpStream, horizon: float) -> Iterator[float]:
+def _arrival_times(gaps: Iterator[float], horizon: float) -> Iterator[float]:
     """Poisson arrival epochs up to and including ``horizon``."""
-    t = stream.draw()
+    t = next(gaps)
     while t <= horizon:
         yield t
-        t += stream.draw()
+        t += next(gaps)
 
 
 def simulate_with_arrivals(
@@ -226,7 +230,7 @@ def simulate_with_arrivals(
         raise InputError(f"arrival_rate * horizon exceeds {MAX_EXPECTED_ARRIVALS:.0e}")
     streams, spare = _spawn_streams(config, seed, extra=1)
     arrival_times = (
-        _arrival_times(_ExpStream(spare[0], arrival_rate), horizon)
+        _arrival_times(_exp_draws(spare[0], arrival_rate), horizon)
         if arrival_rate > 0.0
         else ()
     )

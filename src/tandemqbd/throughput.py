@@ -28,8 +28,7 @@ class ThroughputReport:
     ``closed_form`` is filled only for two-server lines, where the
     birth-death reference below applies; it should match ``lambda_max`` to
     solver precision and is surfaced so any disagreement is visible.
-    ``blocks`` are the rate blocks the answer was solved from (None for a
-    one-server line, which needs none).
+    ``blocks`` are the rate blocks the answer was solved from.
     """
 
     config: TandemConfig
@@ -37,8 +36,8 @@ class ThroughputReport:
     num_phases: int
     pi: np.ndarray
     residual: float
+    blocks: QbdBlocks = field(repr=False)
     closed_form: float | None = None
-    blocks: QbdBlocks | None = field(default=None, repr=False)
 
 
 def lambda_max(
@@ -48,17 +47,9 @@ def lambda_max(
 
     Builds the phase space and rate blocks, solves the stationary phase
     equations, and folds the stationary vector with the level-decreasing
-    row sums. A single-server line needs none of that: its saturation rate
-    is its only service rate.
+    row sums. A single-server line has one empty phase, so pi = [1] and the
+    fold returns its only service rate exactly.
     """
-    if config.num_buffers == 0:
-        return ThroughputReport(
-            config=config,
-            lambda_max=config.service_rates[0],
-            num_phases=1,
-            pi=np.ones(1),
-            residual=0.0,
-        )
     space = enumerate_phases(config, max_phases=max_phases)
     blocks = build_blocks(config, space)
     stat = solve_stationary(phase_generator(blocks))

@@ -1,8 +1,8 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from tandemqbd import SingularSystemError, lambda_max, validate_config
@@ -37,6 +37,15 @@ def test_analyze_single_server(capsys):
     code, out, _ = run(capsys, "analyze", "--mu", "1")
     assert code == 0
     assert json.loads(out)["lambda_max"] == 1.0
+    code, dumped, err = run(capsys, "analyze", "--mu", "1", "--dump-blocks")
+    assert code == 0
+    assert dumped == out
+    assert err.splitlines() == [
+        "# level-preserving block 1 x 1",
+        "0 0 -1",
+        "# level-decreasing block 1 x 1",
+        "0 0 1",
+    ]
 
 
 def test_analyze_buffer_shorthand(capsys):
@@ -113,15 +122,18 @@ def test_analyze_max_states_cap(capsys):
     assert "cap" in err
 
 
-def test_analyze_non_finite_rates_exit_three(capsys):
-    # the exit rates overflow to inf: the residual is nan, never printed
-    with np.errstate(invalid="ignore", over="ignore"):
-        code, out, err = run(
-            capsys, "analyze", "--mu", "1e308,1e308,1e308", "--buffers", "0"
-        )
-    assert code == 3
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_overflowing_rate_sum_exits_two(capsys, command):
+    # each rate is finite but their sum is not: refused before any work,
+    # with no numpy warning on stderr
+    rates = "1e308,1e308,1e308" if command == "analyze" else "1e308,1e308"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--mu", rates, "--buffers", "0")
+    assert code == 2
     assert out == ""
-    assert "residual" in err
+    assert "sum" in err
+    assert "Warning" not in err
 
 
 def test_sweep_csv_reference_values(capsys):

@@ -5,15 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from tandemqbd import (
-    IneligibleServerError,
-    apply_completion,
-    build_blocks,
-    eligible_completions,
-    enumerate_phases,
-    triplet_lines,
-    validate_config,
-)
+from scalar_kernel import IneligibleServerError, apply_completion, eligible_completions
+from tandemqbd import build_blocks, enumerate_phases, triplet_lines, validate_config
 
 
 def line(rates, buffers):

@@ -1,10 +1,17 @@
 """Departure-time recursion: determinism, conservation, and agreement."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 
+from tandemqbd import simulate
 from tandemqbd import (
     InputError,
     NegativeArrivalRateError,
@@ -165,3 +172,46 @@ def test_memory_does_not_grow_with_run_length():
     short = peak_bytes(lambda: simulate_with_arrivals(cfg, 0.5, 1e4, seed=1))
     long = peak_bytes(lambda: simulate_with_arrivals(cfg, 0.5, 1e5, seed=1))
     assert long < 1.1 * short
+
+
+def test_t_quantile_is_pinned():
+    from scipy import stats  # the only scipy.stats import: the package has none
+
+    assert simulate.T_975 == stats.t.ppf(0.975, simulate.NUM_BATCHES - 1)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(simulate.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, tandemqbd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_clock_overflow_is_an_input_error(monkeypatch):
+    # service times of mean 1e308 overflow the clock to inf from the third
+    # customer on; the customer stream is cut short so that a count of
+    # customers against an infinite clock ends (and fails) instead of hanging
+    recursion = simulate._departures
+    monkeypatch.setattr(
+        simulate, "_departures", lambda *a: itertools.islice(recursion(*a), 12_000)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="clock"):
+            simulate_saturated(line([1e308, 1e-308], [1]), 10_000, seed=0)
+
+
+@pytest.mark.parametrize("rate", [1e306, 1.7e308])
+def test_overflowing_confidence_interval_is_an_input_error(rate):
+    # batch throughputs near 1e306 overflow the variance: no infinite ci95
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="confidence interval"):
+            simulate_saturated(line([rate], []), 10_000, seed=0)

@@ -7,6 +7,7 @@ from scipy import sparse
 from tandemqbd import (
     NonPositiveSolutionError,
     SingularSystemError,
+    TandemConfig,
     build_blocks,
     enumerate_phases,
     lambda_max,
@@ -151,8 +152,9 @@ def test_long_buffers_before_fast_servers():
     [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # dense and sparse branch
 )
 def test_non_finite_generator_is_singular(rates, buffers):
-    # the exit rates overflow to inf, so the solution and residual are nan
-    cfg = validate_config(rates, buffers)
+    # the exit rates overflow to inf, so the solution and residual are nan;
+    # validate_config refuses such rates, so the config is built directly
+    cfg = TandemConfig(tuple(rates), tuple(buffers))
     A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SingularSystemError):

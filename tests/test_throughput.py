@@ -35,10 +35,13 @@ def test_two_balanced_servers_no_buffer():
     assert abs(report.lambda_max - 2.0 / 3.0) < 1e-12
 
 
-def test_single_server_shortcut():
+def test_single_server_line():
+    # one empty phase: pi = [1] and the fold returns the rate exactly
     report = lambda_max(line([1.7], []))
     assert report.lambda_max == 1.7
     assert report.num_phases == 1
+    assert report.residual == 0.0
+    assert report.blocks.level_same.shape == report.blocks.level_down.shape == (1, 1)
     assert report.closed_form is None
 
 
