@@ -96,6 +96,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "lambda_max": report.lambda_max,
         "M": report.num_phases,
         "residual": report.residual,
+        "solver": report.solver,
+        "iterations": report.iterations,
     }
     if report.closed_form is not None:
         out["closed_form_check"] = {

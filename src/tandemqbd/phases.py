@@ -29,9 +29,11 @@ from .errors import (
 )
 from .model import TandemConfig
 
-# fill-in of the sparse LU grows about as M**2: on a 2-vCPU host 10,864
-# phases solve in 5 s and 300 MB, 40,545 in minutes and 2.3 GB
-DEFAULT_MAX_PHASES = 50_000
+# sized for the stationary solve on a 2-vCPU host with 7 GB: GMRES, which
+# takes lines of four or more servers, solves [1]*10, B=1 (151,316 phases)
+# in about 4 s and 280 MB; sparse LU, which keeps lines of three or fewer,
+# needs 38 s and 2.5 GB for [1,1,1], B=445 (200,703 phases)
+DEFAULT_MAX_PHASES = 200_000
 
 
 def _codes(rows: np.ndarray, caps: Sequence[int]) -> np.ndarray:

@@ -28,7 +28,9 @@ class ThroughputReport:
     ``closed_form`` is filled only for two-server lines, where the
     birth-death reference below applies; it should match ``lambda_max`` to
     solver precision and is surfaced so any disagreement is visible.
-    ``blocks`` are the rate blocks the answer was solved from.
+    ``blocks`` are the rate blocks the answer was solved from; ``solver``
+    and ``iterations`` say how the stationary vector was solved (see
+    :class:`~tandemqbd.stationary.StationaryVector`).
     """
 
     config: TandemConfig
@@ -36,6 +38,8 @@ class ThroughputReport:
     num_phases: int
     pi: np.ndarray
     residual: float
+    solver: str
+    iterations: int
     blocks: QbdBlocks = field(repr=False)
     closed_form: float | None = None
 
@@ -68,6 +72,8 @@ def lambda_max(
         num_phases=space.num_phases,
         pi=stat.pi,
         residual=stat.residual,
+        solver=stat.solver,
+        iterations=stat.iterations,
         closed_form=closed,
         blocks=blocks,
     )

@@ -22,6 +22,7 @@ def test_analyze_two_server(capsys):
     assert payload["lambda_max"] == pytest.approx(0.8, abs=1e-12)
     assert payload["M"] == 5
     assert payload["residual"] <= 1e-12
+    assert (payload["solver"], payload["iterations"]) == ("dense-lu", 0)
     assert payload["closed_form_check"]["abs_diff"] <= 1e-10
 
 

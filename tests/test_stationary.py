@@ -6,6 +6,7 @@ from scipy import sparse
 
 from tandemqbd import (
     NonPositiveSolutionError,
+    NumericalError,
     SingularSystemError,
     TandemConfig,
     build_blocks,
@@ -15,7 +16,8 @@ from tandemqbd import (
     solve_stationary,
     validate_config,
 )
-from tandemqbd.stationary import SPARSE_MIN_PHASES
+from tandemqbd import stationary
+from tandemqbd.stationary import SPARSE_MIN_PHASES, _solve_gmres, _solve_sparse
 
 
 def generator_for(rates, buffers):
@@ -92,7 +94,7 @@ CONFIGS = [
     ([1.5, 0.7, 1.1, 0.9], [2, 0, 1]),
     ([0.8, 1.0, 1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1, 1]),  # 780 phases
 ]
-# 2,911 phases, well above SPARSE_MIN_PHASES
+# 2,911 phases, well above SPARSE_MIN_PHASES; a seven-server line goes to GMRES
 LARGE = ([1.25] + [1.0] * 6, [1] * 6)
 
 
@@ -125,8 +127,9 @@ def test_agrees_with_power_method(rates, buffers):
 
 
 def test_sparse_solve_matches_dense_lu():
-    # the same normalised system, factored densely, folds to the same rate
-    cfg = validate_config(*LARGE)
+    # the same normalised system, factored densely, folds to the same rate;
+    # 780 phases on six servers lie between the dense and the GMRES tier
+    cfg = validate_config([0.8] + [1.0] * 5, [1] * 5)
     blocks = build_blocks(cfg, enumerate_phases(cfg))
     A = phase_generator(blocks).toarray()
     assert len(A) > SPARSE_MIN_PHASES
@@ -136,26 +139,70 @@ def test_sparse_solve_matches_dense_lu():
     rhs[-1] = 1.0
     pi = np.linalg.solve(system, rhs)
     dense = pi @ np.asarray(blocks.level_down.sum(axis=1)).ravel()
-    assert abs(lambda_max(cfg).lambda_max - dense) <= 1e-12
+    report = lambda_max(cfg)
+    assert report.solver == "sparse-lu"
+    assert abs(report.lambda_max - dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [
+        LARGE,  # 2,911 phases
+        ([1e-3, 1.0, 1.0, 1e3, 1.0, 1.0, 1.0], [1] * 6),  # 2,911, stiff
+        ([1.0, 1000.0] * 3, [2] * 5),  # 2,640, stiff
+        ([1.0] + [30.0] * 6, [1] * 6),  # 2,911
+    ],
+)
+def test_gmres_matches_sparse_lu(rates, buffers):
+    # both tiers on the same generator fold to the same rate
+    cfg = validate_config(rates, buffers)
+    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    A = phase_generator(blocks)
+    down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
+    lu_pi = _solve_sparse(A)
+    it_pi, iterations = _solve_gmres(A)
+    assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
+    assert abs(lu_pi @ down - it_pi @ down) <= 1e-10
+
+
+def test_gmres_that_does_not_converge_raises(monkeypatch):
+    # a GMRES run that stops short reports it; its last iterate is dropped
+    def stalled(system, rhs, x0, callback, **kwargs):
+        callback(1.0)
+        return x0, 1
+
+    monkeypatch.setattr(stationary, "gmres", stalled)
+    A = generator_for(*LARGE)
+    with pytest.raises(NumericalError, match="did not converge.*1 inner iterations"):
+        solve_stationary(A)
 
 
 def test_long_buffers_before_fast_servers():
     # 10,608 phases; the slow first server is the bottleneck, buffers ample
     report = lambda_max(validate_config([1.0, 30.0, 30.0], [100, 100]))
     assert report.num_phases == 10_608
+    assert report.solver == "sparse-lu"  # GMRES converges poorly here
     assert np.isfinite(report.lambda_max)
     assert abs(report.lambda_max - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize(
     "rates,buffers",
-    [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # dense and sparse branch
+    [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # dense and GMRES branch
 )
-def test_non_finite_generator_is_singular(rates, buffers):
-    # the exit rates overflow to inf, so the solution and residual are nan;
-    # validate_config refuses such rates, so the config is built directly
+def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
+    # the exit rates overflow to inf; the generator is refused before any
+    # solver runs. validate_config refuses such rates, so the config is
+    # built directly
     cfg = TandemConfig(tuple(rates), tuple(buffers))
     A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran on a non-finite generator")
+
+    monkeypatch.setattr(stationary, "gmres", unreachable)
+    monkeypatch.setattr(stationary, "splu", unreachable)
+    monkeypatch.setattr(np.linalg, "solve", unreachable)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SingularSystemError):
             solve_stationary(A)

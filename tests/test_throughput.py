@@ -82,6 +82,30 @@ def test_reversal_invariance_homogeneous_buffers():
         assert abs(forward - backward) <= 1e-9
 
 
+def test_reversal_invariance_at_40545_phases():
+    # nine servers, solved by GMRES: the reversed line has a different
+    # generator but the same saturation rate
+    forward = lambda_max(line([1.25] + [1.0] * 8, [1] * 8))
+    backward = lambda_max(line([1.0] * 8 + [1.25], [1] * 8))
+    assert forward.num_phases == backward.num_phases == 40_545
+    assert forward.solver == backward.solver == "gmres-sgs"
+    assert abs(forward.lambda_max - backward.lambda_max) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rates,buffers,solver",
+    [
+        ([1.0] * 3, [0, 0], "dense-lu"),  # 8 phases
+        ([0.8] + [1.0] * 5, [1] * 5, "sparse-lu"),  # 780 phases, a grid line
+        ([1.25] + [1.0] * 6, [1] * 6, "gmres-sgs"),  # 2,911 phases
+    ],
+)
+def test_report_names_its_solver(rates, buffers, solver):
+    report = lambda_max(line(rates, buffers))
+    assert report.solver == solver
+    assert (report.iterations > 0) == (solver == "gmres-sgs")
+
+
 def test_buffers_never_hurt():
     rates = [0.8, 1.2, 1.0, 0.9]
     values = [
