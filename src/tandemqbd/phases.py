@@ -29,10 +29,9 @@ from .errors import (
 )
 from .model import TandemConfig
 
-# sized for the stationary solve on a 2-vCPU host with 7 GB: GMRES, which
-# takes lines of four or more servers, solves [1]*10, B=1 (151,316 phases)
-# in about 4 s and 280 MB; sparse LU, which keeps lines of three or fewer,
-# needs 38 s and 2.5 GB for [1,1,1], B=445 (200,703 phases)
+# sized for the GMRES tier of the stationary solve on a 2-vCPU host with
+# 7 GB: it solves [1]*10, B=1 (151,316 phases) in about 4 s and 280 MB.
+# Lines that sparse LU takes have a lower default cap, SPARSE_LU_MAX_PHASES
 DEFAULT_MAX_PHASES = 200_000
 
 

@@ -10,12 +10,15 @@ picks one of three solvers for that system:
   where a sparse solver's fixed cost outweighs what it saves;
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner above
   ITERATIVE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
-  nonzeros per row on average, which lines of four or more servers do:
-  its memory is O(nnz), where the fill of a sparse LU grows fast with the
-  number of servers;
-- sparse LU (SuperLU, minimum-degree ordering) otherwise: large lines of
-  three or fewer servers, whose LU fill stays moderate and on which the
-  preconditioned GMRES converges slowly or not at all.
+  nonzeros per row on average: its memory is O(nnz), where the fill of a
+  sparse LU grows fast with the number of servers. Lines of four or more
+  servers usually qualify; a line of three or fewer never does, and
+  neither does a longer line whose buffers are mostly zero;
+- sparse LU (SuperLU, minimum-degree ordering) otherwise, on which the
+  preconditioned GMRES converges slowly or not at all. Its fill can grow
+  with the square of the phase count (on a line with one long buffer and
+  the rest short), so it refuses lines above SPARSE_LU_MAX_PHASES phases
+  unless the caller raises that cap.
 
 Every solver's answer passes the same residual and sign gate.
 """
@@ -29,7 +32,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .errors import NonPositiveSolutionError, NumericalError, SingularSystemError
+from .errors import (
+    NonPositiveSolutionError,
+    NumericalError,
+    SingularSystemError,
+    StateSpaceTooLargeError,
+)
 from .generator import QbdBlocks
 
 # residual bound relative to the largest |A| entry; worse means model bug
@@ -40,9 +48,15 @@ NEGATIVE_ENTRY_TOL = -1e-9
 SPARSE_MIN_PHASES = 250
 # GMRES takes lines above this many phases whose generator has more than
 # ITERATIVE_MIN_ROW_NNZ nonzeros per row: a line of three or fewer servers
-# has at most 4, lines of four or more servers above 2,000 phases 4.5-5.9
+# has at most 4, lines of four or more servers above 2,000 phases usually
+# 4.5-5.9, but [1]*4, B=[0,0,2000] (mostly zero buffers) has 3.75
 ITERATIVE_MIN_PHASES = 2_000
 ITERATIVE_MIN_ROW_NNZ = 4
+# default cap of the sparse-LU tier, the phase cap that held before the
+# GMRES tier. Its peak RSS reached 1.0 GB for [1,1], B=10000 (10,003
+# phases, 830x fill) and 2.0 GB for B=14000, and [1]*4, B=[0,0,24000]
+# (192,021 phases) was killed for lack of memory on a 7 GB host
+SPARSE_LU_MAX_PHASES = 50_000
 # GMRES stops at a residual of GMRES_RTOL relative to |rhs| = 1, or after
 # GMRES_MAXITER restarts of GMRES_RESTART inner iterations each
 GMRES_RTOL = 1e-14
@@ -71,18 +85,21 @@ def phase_generator(blocks: QbdBlocks) -> sparse.csr_matrix:
     return blocks.level_same + blocks.level_down
 
 
-def solve_stationary(A: np.ndarray | sparse.spmatrix) -> StationaryVector:
+def solve_stationary(
+    A: np.ndarray | sparse.spmatrix, max_lu_phases: int = SPARSE_LU_MAX_PHASES
+) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
     A may be dense or sparse; its phase count and nonzeros per row pick the
-    solver (see the module docstring). Raises SingularSystemError when A has
-    a non-finite entry, when a factorization fails, or when the residual is
-    not finite or exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency
-    beyond the expected one-dimensional null space); NumericalError when
-    GMRES does not converge; and NonPositiveSolutionError when the solution
-    carries an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical
-    failure). Roundoff-scale negatives are clamped to zero and the vector
-    renormalized.
+    solver (see the module docstring). Raises StateSpaceTooLargeError when
+    sparse LU would take more than ``max_lu_phases`` phases;
+    SingularSystemError when A has a non-finite entry, when a factorization
+    fails, or when the residual is not finite or exceeds RESIDUAL_RTOL
+    relative to max|A| (rank deficiency beyond the expected one-dimensional
+    null space); NumericalError when GMRES does not converge; and
+    NonPositiveSolutionError when the solution carries an entry below
+    NEGATIVE_ENTRY_TOL (reducibility or numerical failure). Roundoff-scale
+    negatives are clamped to zero and the vector renormalized.
     """
     shape = np.shape(A)
     n = shape[0]
@@ -94,6 +111,12 @@ def solve_stationary(A: np.ndarray | sparse.spmatrix) -> StationaryVector:
         if n > ITERATIVE_MIN_PHASES and A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
             pi, iterations = _solve_gmres(A)
             solver = "gmres-sgs"
+        elif n > max_lu_phases:
+            raise StateSpaceTooLargeError(
+                f"line has {n} phases, above the cap of {max_lu_phases} for sparse "
+                "LU, whose fill can grow with the square of the phase count; raise "
+                "max_phases (--max-states on the command line) to solve it"
+            )
         else:
             pi, iterations = _solve_sparse(A), 0
             solver = "sparse-lu"
@@ -175,11 +198,13 @@ def _solve_gmres(A: sparse.csr_matrix) -> tuple[np.ndarray, int]:
     """The same system by restarted GMRES, preconditioned by one symmetric
     Gauss-Seidel sweep v -> (D+U)^-1 D (D+L)^-1 v; (pi, inner iterations).
 
-    Raises NumericalError when GMRES stops short of GMRES_RTOL; the last
-    iterate is never returned.
+    A is first divided by its largest |entry|, which leaves pi as it is and
+    puts the rows of A^T on the scale of the row of ones, so GMRES_RTOL
+    asks the same of every rate scale. Raises NumericalError when GMRES
+    stops short of GMRES_RTOL; the last iterate is never returned.
     """
     n = A.shape[0]
-    system, rhs = _normalised_system(A)
+    system, rhs = _normalised_system(A / np.max(np.abs(A.data)))
     forward = _triangle_solver(sparse.tril(system))
     backward = _triangle_solver(sparse.triu(system))
     diagonal = system.diagonal()

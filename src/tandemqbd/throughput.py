@@ -18,7 +18,7 @@ from .errors import InputError, NegativeArrivalRateError
 from .model import TandemConfig
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
 from .generator import QbdBlocks, build_blocks
-from .stationary import phase_generator, solve_stationary
+from .stationary import SPARSE_LU_MAX_PHASES, phase_generator, solve_stationary
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ThroughputReport:
 
 
 def lambda_max(
-    config: TandemConfig, max_phases: int = DEFAULT_MAX_PHASES
+    config: TandemConfig, max_phases: int | None = None
 ) -> ThroughputReport:
     """Exact saturation arrival rate of a tandem line.
 
@@ -53,10 +53,18 @@ def lambda_max(
     equations, and folds the stationary vector with the level-decreasing
     row sums. A single-server line has one empty phase, so pi = [1] and the
     fold returns its only service rate exactly.
+
+    ``max_phases`` caps the phase count of the line, whatever solver takes
+    it. Left at None, the cap is DEFAULT_MAX_PHASES, and
+    SPARSE_LU_MAX_PHASES for a line that sparse LU solves.
     """
+    if max_phases is None:
+        max_phases, max_lu_phases = DEFAULT_MAX_PHASES, SPARSE_LU_MAX_PHASES
+    else:
+        max_lu_phases = max_phases
     space = enumerate_phases(config, max_phases=max_phases)
     blocks = build_blocks(config, space)
-    stat = solve_stationary(phase_generator(blocks))
+    stat = solve_stationary(phase_generator(blocks), max_lu_phases=max_lu_phases)
     down_rates = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     rate = float(stat.pi @ down_rates)
     closed = None

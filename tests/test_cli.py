@@ -123,6 +123,15 @@ def test_analyze_max_states_cap(capsys):
     assert "cap" in err
 
 
+def test_analyze_sparse_lu_cap(capsys):
+    # 60,003 phases on a two-server line go to sparse LU, whose default
+    # cap is lower than the one checked before enumeration
+    code, out, err = run(capsys, "analyze", "--mu", "1,1", "--buffers", "60000")
+    assert code == 2
+    assert out == ""
+    assert "sparse LU" in err and "--max-states" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_overflowing_rate_sum_exits_two(capsys, command):
     # each rate is finite but their sum is not: refused before any work,

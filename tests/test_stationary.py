@@ -8,6 +8,7 @@ from tandemqbd import (
     NonPositiveSolutionError,
     NumericalError,
     SingularSystemError,
+    StateSpaceTooLargeError,
     TandemConfig,
     build_blocks,
     enumerate_phases,
@@ -107,15 +108,25 @@ def test_residual_bound(rates, buffers):
     assert result.pi.min() >= 0.0
 
 
-@pytest.mark.parametrize("scale", [10.0, 0.1])
+@pytest.mark.parametrize("scale", [10.0, 0.1, 1e6, 1e-6])
 def test_scale_invariance(scale):
-    rates = [0.8, 1.0, 1.3]
-    buffers = [1, 2]
-    base = solve_stationary(generator_for(rates, buffers)).pi
-    scaled = solve_stationary(
-        generator_for([scale * r for r in rates], buffers)
-    ).pi
-    np.testing.assert_allclose(scaled, base, atol=1e-12)
+    # a dense-LU line and a GMRES line (whose stopping test is absolute)
+    for rates, buffers in [([0.8, 1.0, 1.3], [1, 2]), LARGE]:
+        base = solve_stationary(generator_for(rates, buffers)).pi
+        scaled = solve_stationary(
+            generator_for([scale * r for r in rates], buffers)
+        ).pi
+        np.testing.assert_allclose(scaled, base, atol=1e-12)
+
+
+def test_sparse_lu_cap():
+    # sparse LU refuses a line above its cap; GMRES and dense LU ignore it
+    A = generator_for(*CONFIGS[-1])  # 780 phases, sparse LU
+    with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
+        solve_stationary(A, max_lu_phases=779)
+    assert solve_stationary(A, max_lu_phases=780).solver == "sparse-lu"
+    assert solve_stationary(generator_for(*LARGE), max_lu_phases=1).solver == "gmres-sgs"
+    assert solve_stationary(generator_for(*CONFIGS[0]), max_lu_phases=1).solver == "dense-lu"
 
 
 @pytest.mark.parametrize("rates,buffers", CONFIGS)

@@ -8,11 +8,13 @@ import pytest
 from tandemqbd import (
     InputError,
     NegativeArrivalRateError,
+    StateSpaceTooLargeError,
     closed_form_two_server,
     is_stable,
     lambda_max,
     validate_config,
 )
+from tandemqbd import throughput
 
 
 def line(rates, buffers):
@@ -104,6 +106,18 @@ def test_report_names_its_solver(rates, buffers, solver):
     report = lambda_max(line(rates, buffers))
     assert report.solver == solver
     assert (report.iterations > 0) == (solver == "gmres-sgs")
+
+
+def test_explicit_cap_covers_sparse_lu(monkeypatch):
+    # the default cap of a sparse-LU line is the lower one; an explicit
+    # max_phases applies to every line
+    monkeypatch.setattr(throughput, "SPARSE_LU_MAX_PHASES", 500)
+    config = line([0.8] + [1.0] * 5, [1] * 5)  # 780 phases, sparse LU
+    with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
+        lambda_max(config)
+    assert lambda_max(config, max_phases=780).solver == "sparse-lu"
+    with pytest.raises(StateSpaceTooLargeError):
+        lambda_max(config, max_phases=779)
 
 
 def test_buffers_never_hurt():
