@@ -21,12 +21,15 @@ at once. A phase-by-phase version of the same rule lives with the tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .model import TandemConfig
 from .phases import PhaseSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     rates are summed in server order and the CSR matrices are canonical,
     so the blocks are identical across runs.
     """
+    from scipy import sparse  # here, not above: simulate and phases never load it
+
     caps = np.asarray(config.buffer_capacities, dtype=np.int64)
     phases = space.phases
     n, k = phases.shape

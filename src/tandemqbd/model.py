@@ -109,10 +109,18 @@ def config_from_document(obj: object) -> TandemConfig:
 
 
 def load_config_file(path: str) -> TandemConfig:
-    """Read and validate a config document from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read and validate a config document from a JSON file.
+
+    A path that cannot be opened or read, a file that is not UTF-8 and one
+    that is not JSON all raise InputError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path} is not UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_document(obj)

@@ -13,8 +13,10 @@ customer leaves station i, S_i(n) its service time there, and B_{i+1} the
 buffer in front of station i+1: customer n may enter station i+1 only once
 customer n - B_{i+1} - 1 has left it. D_{-1}(n) is the arrival time of
 customer n, or -inf when the first station never runs dry. The recursion
-needs only the last B_{i+1} + 1 departure times of each station, so memory
-stays bounded however long the run.
+needs only the last B_{i+1} + 1 departure times of each station, and holds
+no more than the run has produced, so memory is
+O(K + sum_i min(B_i + 1, customers)): bounded however long the run, and
+however large the buffers.
 
 The module works on customers and their times, not on the encoded phases,
 and shares no code with the analytic kernel: the two are written twice so
@@ -112,11 +114,12 @@ def _departures(
     ``arrival_times`` supplies D_{-1}(n). ``rings[i]`` holds D_i of the last
     B_i + 1 customers (B_0 = 0), oldest first: ``rings[i][-1]`` is D_i(n-1)
     and, before station i takes customer n, ``rings[i][0]`` is
-    D_i(n - B_i - 1). Times before the first customer read as 0; nothing
+    D_i(n - B_i - 1). Times before the first customer read as 0: a ring
+    starts as one 0 that stays at its head until the ring fills. Nothing
     beyond the last station blocks it.
     """
     rings = [
-        deque([0.0] * (b + 1), maxlen=b + 1)
+        deque([0.0], maxlen=b + 1)
         for b in (0, *config.buffer_capacities)
     ]
     draws = [s.__next__ for s in streams]

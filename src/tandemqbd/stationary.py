@@ -21,16 +21,19 @@ picks one of three solvers for that system:
   unless the caller raises that cap.
 
 Every solver's answer passes the same residual and sign gate.
+
+scipy is imported inside the functions that use it, not here: scipy.sparse
+and scipy.sparse.linalg take about 0.2 s to import, a simulation needs
+neither, and a line at or below SPARSE_MIN_PHASES never needs the second.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (
     NonPositiveSolutionError,
@@ -39,6 +42,9 @@ from .errors import (
     StateSpaceTooLargeError,
 )
 from .generator import QbdBlocks
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # residual bound relative to the largest |A| entry; worse means model bug
 RESIDUAL_RTOL = 1e-10
@@ -101,6 +107,8 @@ def solve_stationary(
     NEGATIVE_ENTRY_TOL (reducibility or numerical failure). Roundoff-scale
     negatives are clamped to zero and the vector renormalized.
     """
+    from scipy import sparse
+
     shape = np.shape(A)
     n = shape[0]
     if shape != (n, n):
@@ -148,6 +156,8 @@ def _require_finite(values: np.ndarray) -> None:
 
 def _normalised_system(A: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray]:
     """A^T with its last row replaced by ones, in CSR, and the rhs e_n."""
+    from scipy import sparse
+
     n = A.shape[0]
     ones = sparse.csr_matrix(np.ones((1, n)))
     system = sparse.vstack([A.T.tocsr()[:-1], ones], format="csr")
@@ -163,6 +173,8 @@ def _solve_sparse(A: sparse.csr_matrix) -> np.ndarray:
     pivots kept on the diagonal where they are within a factor 10 of the
     column's largest, suits a generator whose pattern is near-symmetric.
     """
+    from scipy.sparse.linalg import splu
+
     system, rhs = _normalised_system(A)
     try:
         lu = splu(
@@ -183,6 +195,8 @@ def _triangle_solver(T: sparse.spmatrix):
     so the factor holds the triangle's own entries and the solve runs in
     compiled code.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(
             T.tocsc(),
@@ -203,6 +217,9 @@ def _solve_gmres(A: sparse.csr_matrix) -> tuple[np.ndarray, int]:
     asks the same of every rate scale. Raises NumericalError when GMRES
     stops short of GMRES_RTOL; the last iterate is never returned.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     n = A.shape[0]
     system, rhs = _normalised_system(A / np.max(np.abs(A.data)))
     forward = _triangle_solver(sparse.tril(system))

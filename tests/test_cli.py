@@ -1,11 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from tandemqbd import SingularSystemError, lambda_max, validate_config
+from tandemqbd import SingularSystemError, cli, lambda_max, validate_config
 from tandemqbd.cli import SWEEP_HEADER, main
 
 
@@ -70,6 +74,25 @@ def test_analyze_config_conflicts_with_inline(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--config", str(path), "--mu", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe"),
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_unreadable_config_file_exits_two(capsys, tmp_path, make):
+    path = tmp_path / "line.json"
+    make(path)
+    code, out, err = run(capsys, "analyze", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_analyze_rejects_bad_rates(capsys):
@@ -264,3 +287,61 @@ def test_numerical_errors_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "--mu", "1,1", "--buffers", "0")
     assert code == 3
     assert "synthetic failure" in err
+
+
+def command(*argv):
+    return f"from tandemqbd.cli import main; main({list(argv)!r})"
+
+
+@pytest.mark.parametrize(
+    "code,loads,leaves_out",
+    [
+        ("import tandemqbd", [], ["scipy"]),
+        ("import tandemqbd.cli", [], ["scipy"]),
+        (
+            command("simulate", "--mu", "0.8,1,1", "--buffers", "1", "--departures", "10000"),
+            [],
+            ["scipy"],
+        ),
+        (command("phases", "--k", "3", "--buffer", "1", "--list"), [], ["scipy"]),
+        (command("analyze", "--mu", "1,-1", "--buffers", "0"), [], ["scipy"]),
+        # 15 phases: dense LU, but the blocks are assembled sparse
+        (
+            command("analyze", "--mu", "0.8,1,1", "--buffers", "1"),
+            ["scipy.sparse"],
+            ["scipy.sparse.linalg"],
+        ),
+        # 2,911 phases: the GMRES tier
+        (
+            command("analyze", "--mu", "1.25,1,1,1,1,1,1", "--buffers", "1"),
+            ["scipy.sparse.linalg"],
+            [],
+        ),
+    ],
+    ids=[
+        "import-package",
+        "import-cli",
+        "simulate",
+        "phases",
+        "input-error",
+        "analyze-dense",
+        "analyze-gmres",
+    ],
+)
+def test_scipy_loads_only_where_a_solver_needs_it(code, loads, leaves_out):
+    # a fresh interpreter, so that nothing this test run imported counts
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = f"{code}\nimport sys\nprint(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    modules = out.splitlines()[-1].split()
+    for name in loads:
+        assert name in modules
+    for name in leaves_out:
+        assert not [m for m in modules if m == name or m.startswith(name + ".")]

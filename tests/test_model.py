@@ -107,6 +107,23 @@ def test_load_config_file(tmp_path):
     assert load_config_file(str(path)) == validate_config([1.0, 1.0], [2])
 
 
+@pytest.mark.parametrize(
+    "make,reason",
+    [
+        (lambda path: None, "cannot read"),
+        (lambda path: path.mkdir(), "cannot read"),
+        (lambda path: path.write_bytes(b"\xff\xfe"), "not UTF-8"),
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_unreadable_config_file_is_an_input_error(tmp_path, make, reason):
+    path = tmp_path / "line.json"
+    make(path)
+    with pytest.raises(InputError) as info:
+        load_config_file(str(path))
+    assert str(path) in str(info.value) and reason in str(info.value)
+
+
 def test_load_config_file_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from tandemqbd import (
     NonPositiveSolutionError,
@@ -182,7 +183,7 @@ def test_gmres_that_does_not_converge_raises(monkeypatch):
         callback(1.0)
         return x0, 1
 
-    monkeypatch.setattr(stationary, "gmres", stalled)
+    monkeypatch.setattr(sparse_linalg, "gmres", stalled)
     A = generator_for(*LARGE)
     with pytest.raises(NumericalError, match="did not converge.*1 inner iterations"):
         solve_stationary(A)
@@ -211,8 +212,8 @@ def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite generator")
 
-    monkeypatch.setattr(stationary, "gmres", unreachable)
-    monkeypatch.setattr(stationary, "splu", unreachable)
+    monkeypatch.setattr(sparse_linalg, "gmres", unreachable)
+    monkeypatch.setattr(sparse_linalg, "splu", unreachable)
     monkeypatch.setattr(np.linalg, "solve", unreachable)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SingularSystemError):
