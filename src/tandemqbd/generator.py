@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import TandemConfig
-from .phases import PhaseSpace
+from .phases import PhaseSpace, place_values
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -64,24 +64,28 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     has_customer = np.hstack([always, phases != 0])  # column i: station i
     unblocked = np.hstack([phases != caps + 2, always])  # column i: server i
     rows, servers = np.nonzero(has_customer & unblocked)  # row-major order
-    new = phases[rows]  # fancy indexing copies
+    # each target is tracked by its code: a coordinate that rises or falls
+    # by one moves the code by that coordinate's place value
+    place = place_values(caps)
+    codes = space.codes[rows]  # fancy indexing copies
     releasing = np.ones(len(rows), dtype=bool)
     moving = np.flatnonzero(servers < k)
     at = servers[moving]
     # a move (if room) releases station i, a block does not; both raise coordinate i
-    releasing[moving] = new[moving, at] <= caps[at]
-    new[moving, at] += 1
+    releasing[moving] = phases[rows[moving], at] <= caps[at]
+    codes[moving] += place[at]
     station = servers.copy()  # the station that lost a customer
     for _ in range(k):
         # its coordinate drops by one: a count falls, or a sentinel turns
         # "full" as the customer held upstream slides in, releasing the
-        # station before it in turn
+        # station before it in turn. The cascade only visits coordinates
+        # below the raised one, so phases still holds their values
         live = np.flatnonzero(releasing & (station > 0))
         j = station[live] - 1  # coordinate of station j + 1
-        releasing[live] = new[live, j] == caps[j] + 2
-        new[live, j] -= 1
+        releasing[live] = phases[rows[live], j] == caps[j] + 2
+        codes[live] -= place[j]
         station[live] = j
-    cols = space.index(new)
+    cols = space.locate(codes)
     rates = np.asarray(config.service_rates)[servers]
     exit_rate = np.bincount(rows, weights=rates, minlength=n)
     # the diagonal, in the level-preserving block, balances the row sums

@@ -30,21 +30,30 @@ from .errors import (
 from .model import TandemConfig
 
 # sized for the GMRES tier of the stationary solve on a 2-vCPU host with
-# 7 GB: it solves [1]*10, B=1 (151,316 phases) in about 4 s and 280 MB.
+# 7 GB: it solves [1]*10, B=1 (151,316 phases) in about 3 s and 280 MB.
 # Lines that sparse LU takes have a lower default cap, SPARSE_LU_MAX_PHASES
 DEFAULT_MAX_PHASES = 200_000
 
 
+def place_values(caps: Sequence[int]) -> np.ndarray:
+    """Place value of each coordinate in a phase's mixed-radix code.
+
+    Digit i is m_i, with radix B_i + 3, so its place value is the product
+    of the radices after it.
+    """
+    place = np.ones(len(caps), dtype=np.int64)
+    for i in range(len(caps) - 1, 0, -1):
+        place[i - 1] = place[i] * (caps[i] + 3)
+    return place
+
+
 def _codes(rows: np.ndarray, caps: Sequence[int]) -> np.ndarray:
-    """Mixed-radix codes of phase rows: digit i is m_i, with radix B_i + 3.
+    """Mixed-radix codes of phase rows (see :func:`place_values`).
 
     Codes stay below the product of the radices, which is at most M**1.59
     for M phases, so they fit in int64 whenever the rows fit in memory.
     """
-    code = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for i, b in enumerate(caps):
-        code = code * (b + 3) + rows[..., i]
-    return code
+    return rows @ place_values(caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +82,29 @@ class PhaseSpace:
         if rows.shape[-1:] != (len(caps),):
             raise InvalidPhaseError(f"a phase has {len(caps)} values: {rows.shape}")
         in_range = ((rows >= 0) & (rows <= np.asarray(caps) + 2)).all(axis=-1)
-        codes = _codes(rows, caps)
-        pos = np.searchsorted(self.codes, codes).clip(max=self.num_phases - 1)
-        found = in_range & (self.codes[pos] == codes)
+        pos, found = self._search(_codes(rows, caps))
+        found = in_range & found
         if not found.all():
             bad = rows.reshape(-1, len(caps))[~found.ravel()][0]
             raise InvalidPhaseError(f"{tuple(bad.tolist())} is not a phase of the line")
         return pos
+
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """Position of the phase with each of these codes.
+
+        Raises InvalidPhaseError if any code is not that of a phase of this
+        line.
+        """
+        pos, found = self._search(codes)
+        if not found.all():
+            raise InvalidPhaseError(
+                f"code {codes[~found][0]} is not that of a phase of the line"
+            )
+        return pos
+
+    def _search(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.searchsorted(self.codes, codes).clip(max=self.num_phases - 1)
+        return pos, self.codes[pos] == codes
 
 
 def count_phases(buffer_capacities: Sequence[int]) -> int:

@@ -45,6 +45,7 @@ from .errors import InputError, NegativeArrivalRateError, TargetTooSmallError
 from .model import TandemConfig
 
 MIN_TARGET_DEPARTURES = 10_000
+MAX_TARGET_DEPARTURES = 10**9  # about half an hour at 5 * 10^5 departures/s
 MAX_EXPECTED_ARRIVALS = 10**9  # arrival_rate * horizon; more would run for hours
 WARMUP_FRACTION = 0.1
 NUM_BATCHES = 20
@@ -145,12 +146,17 @@ def simulate_saturated(
     rate converges to the saturation arrival rate directly; no search over
     arrival rates is needed. The run discards a warm-up of
     WARMUP_FRACTION * target departures, then counts ``target_departures``
-    of them.
+    of them, which must lie between MIN_TARGET_DEPARTURES and
+    MAX_TARGET_DEPARTURES.
     """
     if target_departures < MIN_TARGET_DEPARTURES:
         raise TargetTooSmallError(
             f"need at least {MIN_TARGET_DEPARTURES} departures, "
             f"got {target_departures}"
+        )
+    if target_departures > MAX_TARGET_DEPARTURES:
+        raise InputError(
+            f"at most {MAX_TARGET_DEPARTURES:.0e} departures, got {target_departures}"
         )
     streams, _ = _spawn_streams(config, seed, extra=0)
     customers = _departures(config, streams, itertools.repeat(-math.inf))

@@ -253,6 +253,14 @@ def test_simulate_target_too_small(capsys):
     assert "departures" in err
 
 
+def test_simulate_target_too_large(capsys):
+    code, _, err = run(
+        capsys, "simulate", "--mu", "1", "--departures", "1000000000000000"
+    )
+    assert code == 2
+    assert "departures" in err
+
+
 def test_phases_count(capsys):
     assert run(capsys, "phases", "--k", "1", "--buffer", "2")[1] == "5\n"
     assert run(capsys, "phases", "--k", "0")[1] == "1\n"

@@ -16,6 +16,7 @@ from tandemqbd import (
     enumerate_phases,
     validate_config,
 )
+from tandemqbd.phases import place_values
 
 
 def brute_force_phases(buffers):
@@ -120,6 +121,19 @@ def test_invalid_phase_lookup():
     for bad in [(0, 2), (0,), (3, 0), (-1, 0), (0, 3), [[1, 1], [0, 2]]]:
         with pytest.raises(InvalidPhaseError):
             space.index(bad)
+
+
+def test_codes_are_place_value_sums():
+    # place values of capacities [1, 0, 2]: radices 4, 3, 5
+    np.testing.assert_array_equal(place_values([1, 0, 2]), [15, 5, 1])
+    space = enumerate_phases(line([1, 0, 2]))
+    np.testing.assert_array_equal(space.codes, space.phases @ [15, 5, 1])
+    np.testing.assert_array_equal(space.locate(space.codes[::-1]),
+                                  np.arange(space.num_phases)[::-1])
+    # (1, 0, 4) blocks an empty station; the other code is above every phase's
+    for missing in (15 + 4, space.codes[-1] + 1):
+        with pytest.raises(InvalidPhaseError):
+            space.locate(np.array([space.codes[0], missing]))
 
 
 def test_state_space_cap():

@@ -4,7 +4,7 @@ Examples are derandomized, so every run checks the same lines and a
 failure reproduces; ``max_examples`` keeps the module to a few seconds.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -89,3 +89,27 @@ def test_reversed_line_has_the_same_rate(cfg):
 def test_rate_is_at_most_the_slowest_server(cfg):
     slowest = min(cfg.service_rates)
     assert lambda_max(cfg).lambda_max <= slowest * (1.0 + 1e-12)
+
+
+# Dallery & Gershwin (1992): throughput is monotone in every buffer and
+# every service rate
+@property_settings(30)
+@given(lines(), st.data())
+def test_rate_does_not_fall_as_a_buffer_grows(cfg, data):
+    buffers = list(cfg.buffer_capacities)
+    assume(buffers)
+    buffers[data.draw(st.integers(0, len(buffers) - 1))] += 1
+    assume(count_phases(buffers) <= MAX_PHASES)
+    grown = validate_config(cfg.service_rates, buffers)
+    assert lambda_max(grown).lambda_max >= lambda_max(cfg).lambda_max - 1e-12
+
+
+@property_settings(30)
+@given(lines(), st.data())
+def test_rate_does_not_fall_as_a_service_rate_grows(cfg, data):
+    rates = list(cfg.service_rates)
+    rates[data.draw(st.integers(0, len(rates) - 1))] *= data.draw(
+        st.floats(1.0, 4.0, exclude_min=True)
+    )
+    grown = validate_config(rates, cfg.buffer_capacities)
+    assert lambda_max(grown).lambda_max >= lambda_max(cfg).lambda_max - 1e-12

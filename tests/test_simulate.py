@@ -72,6 +72,12 @@ def test_target_too_small():
         simulate_saturated(line([1.0], []), 9_999, seed=0)
 
 
+def test_target_too_large_is_refused_at_once():
+    # a run above the bound is refused before it simulates anything
+    with pytest.raises(InputError, match="at most"):
+        simulate_saturated(line([1.0], []), simulate.MAX_TARGET_DEPARTURES + 1, seed=0)
+
+
 def test_arrivals_zero_rate_is_a_dead_line():
     result = simulate_with_arrivals(line([1.0, 1.0], [1]), 0.0, 500.0, seed=1)
     assert result.arrivals == 0

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from gmres_oracle import scipy_gmres
 from tandemqbd import (
     NonPositiveSolutionError,
     NumericalError,
@@ -156,6 +157,13 @@ def test_sparse_solve_matches_dense_lu():
     assert abs(report.lambda_max - dense) <= 1e-12
 
 
+# on these lines a looser inner stop than scipy's left the rate about ten
+# times further from LU, yet inside the 1e-12 relative they are held to
+# here; test_gmres_matches_scipy is what tells the two stopping rules apart
+STIFF = ([1e-3, 1.0, 1.0, 1e3, 1.0, 1.0, 1.0], [2] * 6)  # 12,649 phases
+UNEVEN = ([3.0, 1.0, 2.0, 1.0, 3.0], [4, 0, 4, 0])  # 379 phases
+
+
 @pytest.mark.parametrize(
     "rates,buffers",
     [
@@ -163,6 +171,8 @@ def test_sparse_solve_matches_dense_lu():
         ([1e-3, 1.0, 1.0, 1e3, 1.0, 1.0, 1.0], [1] * 6),  # 2,911, stiff
         ([1.0, 1000.0] * 3, [2] * 5),  # 2,640, stiff
         ([1.0] + [30.0] * 6, [1] * 6),  # 2,911
+        STIFF,
+        UNEVEN,
     ],
 )
 def test_gmres_matches_sparse_lu(rates, buffers):
@@ -171,21 +181,46 @@ def test_gmres_matches_sparse_lu(rates, buffers):
     blocks = build_blocks(cfg, enumerate_phases(cfg))
     A = phase_generator(blocks)
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
-    lu_pi = _solve_sparse(A)
+    lu_rate = _solve_sparse(A) @ down
     it_pi, iterations = _solve_gmres(A)
     assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
-    assert abs(lu_pi @ down - it_pi @ down) <= 1e-10
+    assert abs(lu_rate - it_pi @ down) <= 1e-10
+    if (rates, buffers) in (STIFF, UNEVEN):
+        assert abs(lu_rate - it_pi @ down) <= 1e-12 * lu_rate
+
+
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [
+        LARGE,  # the four large benchmark lines: 2,911 phases
+        ([0.9, 1.0, 1.1, 1.0, 1.0, 1.0, 1.0], [2, 0, 3, 1, 0, 2]),  # 3,833
+        ([1.0, 1.0, 1.0, 1.0, 1.1, 1.0, 0.9], [2, 0, 1, 3, 0, 2]),  # 3,833
+        ([1.0] * 10, [0] * 9),  # 6,765
+        ([0.8] + [1.0] * 5, [1] * 5),  # 780, a grid line
+    ],
+)
+def test_gmres_matches_scipy(rates, buffers, monkeypatch):
+    # the package's loop and scipy's, on the same preconditioned system,
+    # stop after the same number of iterations at the same vector
+    cfg = validate_config(rates, buffers)
+    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    pi, iterations = _solve_gmres(A)
+    monkeypatch.setattr(stationary, "_gmres", scipy_gmres)
+    want, want_iterations = _solve_gmres(A)
+    assert iterations == want_iterations
+    np.testing.assert_allclose(pi, want, rtol=0.0, atol=1e-13)
 
 
 def test_gmres_that_does_not_converge_raises(monkeypatch):
-    # a GMRES run that stops short reports it; its last iterate is dropped
-    def stalled(system, rhs, x0, callback, **kwargs):
-        callback(1.0)
-        return x0, 1
-
-    monkeypatch.setattr(sparse_linalg, "gmres", stalled)
+    # one cycle of five iterations cannot reach GMRES_RTOL; the run reports
+    # how far it got, and its last iterate is dropped
+    monkeypatch.setattr(stationary, "GMRES_RESTART", 5)
+    monkeypatch.setattr(stationary, "GMRES_MAXITER", 1)
     A = generator_for(*LARGE)
-    with pytest.raises(NumericalError, match="did not converge.*1 inner iterations"):
+    with pytest.raises(
+        NumericalError,
+        match=r"did not converge: residual \d\.\d{3}e[-+]\d+ after 5 inner iterations",
+    ):
         solve_stationary(A)
 
 
@@ -212,7 +247,7 @@ def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite generator")
 
-    monkeypatch.setattr(sparse_linalg, "gmres", unreachable)
+    monkeypatch.setattr(stationary, "_gmres", unreachable)
     monkeypatch.setattr(sparse_linalg, "splu", unreachable)
     monkeypatch.setattr(np.linalg, "solve", unreachable)
     with np.errstate(invalid="ignore", over="ignore"):
