@@ -30,8 +30,9 @@ from .errors import (
 from .model import TandemConfig
 
 # sized for the GMRES tier of the stationary solve on a 2-vCPU host with
-# 7 GB: it solves [1]*10, B=1 (151,316 phases) in about 3 s and 280 MB.
-# Lines that sparse LU takes have a lower default cap, SPARSE_LU_MAX_PHASES
+# 7 GB: `analyze` solves [1]*10, B=1 (151,316 phases) in 1.6-1.9 s and
+# 236 MB. Lines that sparse LU takes have a lower default cap,
+# SPARSE_LU_MAX_PHASES
 DEFAULT_MAX_PHASES = 200_000
 
 

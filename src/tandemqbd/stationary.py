@@ -13,9 +13,13 @@ picks one of three solvers for that system:
   nonzeros per row on average: its memory is O(nnz), where the fill of a
   sparse LU grows fast with the number of servers. Lines of four or more
   servers usually qualify; a line of three or fewer never does, and
-  neither does a longer line whose buffers are mostly zero. The GMRES loop
-  is this module's own, with scipy's stopping rule: scipy's loop spent
-  about half of each solve in Python overhead;
+  neither does a longer line whose buffers are mostly zero. Given the
+  phases, the system is renumbered into flow order (descending, the last
+  station's coordinate most significant), which lines the Gauss-Seidel
+  sweeps up with the flow of customers and about halves the iterations
+  that the lexicographic order takes. The GMRES loop is this module's
+  own, with scipy's stopping rule: scipy's loop spent about half of each
+  solve in Python overhead;
 - sparse LU (SuperLU, minimum-degree ordering) otherwise, on which the
   preconditioned GMRES converges slowly or not at all. Its fill can grow
   with the square of the phase count (on a line with one long buffer and
@@ -94,20 +98,27 @@ def phase_generator(blocks: QbdBlocks) -> sparse.csr_matrix:
 
 
 def solve_stationary(
-    A: np.ndarray | sparse.spmatrix, max_lu_phases: int = SPARSE_LU_MAX_PHASES
+    A: np.ndarray | sparse.spmatrix,
+    max_lu_phases: int = SPARSE_LU_MAX_PHASES,
+    phases: np.ndarray | None = None,
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
     A may be dense or sparse; its phase count and nonzeros per row pick the
-    solver (see the module docstring). Raises StateSpaceTooLargeError when
-    sparse LU would take more than ``max_lu_phases`` phases;
-    SingularSystemError when A has a non-finite entry, when a factorization
-    fails, or when the residual is not finite or exceeds RESIDUAL_RTOL
-    relative to max|A| (rank deficiency beyond the expected one-dimensional
-    null space); NumericalError when GMRES does not converge; and
-    NonPositiveSolutionError when the solution carries an entry below
-    NEGATIVE_ENTRY_TOL (reducibility or numerical failure). Roundoff-scale
-    negatives are clamped to zero and the vector renormalized.
+    solver (see the module docstring). ``phases``, the (M, K) phase array
+    that A's rows and columns follow, lets GMRES sweep in flow order; the
+    other solvers ignore it, and without it GMRES sweeps in A's own order.
+    pi comes back in A's order either way. Raises ValueError when A is not
+    square or ``phases`` has not one row per phase;
+    StateSpaceTooLargeError when sparse LU would take more than
+    ``max_lu_phases`` phases; SingularSystemError when A has a non-finite
+    entry, when a factorization fails, or when the residual is not finite
+    or exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond
+    the expected one-dimensional null space); NumericalError when GMRES
+    does not converge; and NonPositiveSolutionError when the solution
+    carries an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical
+    failure). Roundoff-scale negatives are clamped to zero and the vector
+    renormalized.
     """
     from scipy import sparse
 
@@ -115,11 +126,13 @@ def solve_stationary(
     n = shape[0]
     if shape != (n, n):
         raise ValueError("generator must be square")
+    if phases is not None and len(phases) != n:
+        raise ValueError(f"{len(phases)} phases for a generator of {n}")
     if n > SPARSE_MIN_PHASES:
         A = sparse.csr_matrix(A, dtype=float)
         _require_finite(A.data)
         if n > ITERATIVE_MIN_PHASES and A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
-            pi, iterations = _solve_gmres(A)
+            pi, iterations = _solve_gmres(A, phases)
             solver = "gmres-sgs"
         elif n > max_lu_phases:
             raise StateSpaceTooLargeError(
@@ -156,28 +169,22 @@ def _require_finite(values: np.ndarray) -> None:
         raise SingularSystemError("generator has a non-finite entry")
 
 
-def _normalised_system(A: sparse.csr_matrix) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """A^T with its last row replaced by ones, in CSR, and the rhs e_n."""
+def _solve_sparse(A: sparse.csr_matrix) -> np.ndarray:
+    """The dense branch's system, A^T with its last row replaced by ones,
+    factored by SuperLU.
+
+    Minimum-degree ordering on the pattern of system + system^T, with
+    pivots kept on the diagonal where they are within a factor 10 of the
+    column's largest, suits a generator whose pattern is near-symmetric.
+    """
     from scipy import sparse
+    from scipy.sparse.linalg import splu
 
     n = A.shape[0]
     ones = sparse.csr_matrix(np.ones((1, n)))
     system = sparse.vstack([A.T.tocsr()[:-1], ones], format="csr")
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    return system, rhs
-
-
-def _solve_sparse(A: sparse.csr_matrix) -> np.ndarray:
-    """The dense branch's system factored by SuperLU.
-
-    Minimum-degree ordering on the pattern of system + system^T, with
-    pivots kept on the diagonal where they are within a factor 10 of the
-    column's largest, suits a generator whose pattern is near-symmetric.
-    """
-    from scipy.sparse.linalg import splu
-
-    system, rhs = _normalised_system(A)
     try:
         lu = splu(
             system.tocsc(),
@@ -195,7 +202,10 @@ def _triangle_solver(T: sparse.spmatrix):
 
     The natural ordering with diagonal pivots leaves a triangle as it is,
     so the factor holds the triangle's own entries and the solve runs in
-    compiled code.
+    compiled code. A panel of one column gives the same factor as the
+    default of ten, two to three times faster and without a dense M x 10
+    work panel: about 8 MB of transient workspace on each triangle at
+    151,316 phases instead of 28 MB.
     """
     from scipy.sparse.linalg import splu
 
@@ -204,34 +214,91 @@ def _triangle_solver(T: sparse.spmatrix):
             T.tocsc(),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
+            panel_size=1,
             options=dict(SymmetricMode=True),
         ).solve
     except RuntimeError as exc:  # a zero on the diagonal
         raise SingularSystemError(f"stationary system is singular: {exc}") from exc
 
 
-def _solve_gmres(A: sparse.csr_matrix) -> tuple[np.ndarray, int]:
+def _solve_gmres(
+    A: sparse.csr_matrix, phases: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """The same system by restarted GMRES, preconditioned by one symmetric
     Gauss-Seidel sweep v -> (D+U)^-1 D (D+L)^-1 v; (pi, inner iterations).
 
-    A is first divided by its largest |entry|, which leaves pi as it is and
-    puts the rows of A^T on the scale of the row of ones, so GMRES_RTOL
-    asks the same of every rate scale. The two triangles of the sweep are
+    Given the (M, K) phase array, the system is renumbered into flow
+    order, ``np.lexsort(phases.T)[::-1]``: descending, the last station's
+    coordinate most significant. Customers move down the line, and
+    Gauss-Seidel on a Markov chain converges in far fewer sweeps when its
+    order follows the flow (Stewart, Introduction to the Numerical
+    Solution of Markov Chains, 1994, ch. 3). The lexicographic order, the
+    first station most significant and ascending, runs against it: on the
+    four benchmark lines of 2,911-6,765 phases it took 45-51 inner
+    iterations where the flow order takes 26-33, and 107 where it takes 49
+    at 151,316 phases. Without ``phases`` the order is A's own.
+
+    A is divided by its largest |entry|, which leaves pi as it is and puts
+    the rows of A^T on the scale of the row of ones, so GMRES_RTOL asks
+    the same of every rate scale. The two triangles of the sweep are
     factored once by SuperLU. The iteration is :func:`_gmres`, this
     module's own loop: scipy's spent as long in Python as in the
-    triangular solves. Raises NumericalError when GMRES stops short of
-    GMRES_RTOL; the last iterate is never returned.
+    triangular solves. pi comes back in A's order. Raises NumericalError
+    when GMRES stops short of GMRES_RTOL; the last iterate is never
+    returned.
+    """
+    n = A.shape[0]
+    order = np.arange(n) if phases is None else np.lexsort(phases.T)[::-1]
+    system, lower, upper = _permuted_system(A, order)
+    forward, backward = _triangle_solver(lower), _triangle_solver(upper)
+    del lower, upper  # SuperLU holds its own copies
+    diagonal = system.diagonal()
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    x, iterations = _gmres(
+        system, rhs, np.full(n, 1.0 / n), lambda v: backward(diagonal * forward(v))
+    )
+    pi = np.empty(n)
+    pi[order] = x
+    return pi, iterations
+
+
+def _permuted_system(
+    A: sparse.csr_matrix, order: np.ndarray
+) -> tuple[sparse.csc_matrix, sparse.csc_matrix, sparse.csc_matrix]:
+    """(system, lower, upper): the normalised system of A / max|A| with
+    phase order[k] as unknown k, and its two triangles, all three in CSC.
+
+    Column k of A^T is row order[k] of A, so A's rows taken in that order,
+    with their column indices renumbered, are the system's columns. Their
+    entries in the last equation give way to the ones of pi e = 1. Rows
+    within a column stay unsorted: the product does not depend on their
+    order, and SuperLU sorts the triangles it factors.
     """
     from scipy import sparse
 
     n = A.shape[0]
-    system, rhs = _normalised_system(A / np.max(np.abs(A.data)))
-    forward = _triangle_solver(sparse.tril(system))
-    backward = _triangle_solver(sparse.triu(system))
-    diagonal = system.diagonal()
-    return _gmres(
-        system, rhs, np.full(n, 1.0 / n), lambda v: backward(diagonal * forward(v))
-    )
+    rank = np.empty(n, dtype=A.indices.dtype)
+    rank[order] = np.arange(n, dtype=rank.dtype)
+    taken = A[order]
+    rows = rank[taken.indices]
+    values = taken.data * (1.0 / np.max(np.abs(A.data)))
+    last = np.flatnonzero(rows == n - 1)  # at most one in a column
+    indptr = taken.indptr - np.searchsorted(last, taken.indptr).astype(rank.dtype)
+    del taken
+    feet = indptr[1:]  # a one at the foot of every column
+    rows = np.insert(np.delete(rows, last), feet, n - 1)
+    values = np.insert(np.delete(values, last), feet, 1.0)
+    indptr = indptr + np.arange(n + 1, dtype=rank.dtype)
+    cols = np.repeat(np.arange(n, dtype=rank.dtype), np.diff(indptr))
+
+    def triangle(keep: np.ndarray) -> sparse.csc_matrix:
+        at = np.flatnonzero(keep)
+        start = np.searchsorted(at, indptr).astype(rank.dtype)
+        return sparse.csc_matrix((values[at], rows[at], start), shape=(n, n))
+
+    lower, upper = triangle(rows >= cols), triangle(rows <= cols)
+    return sparse.csc_matrix((values, rows, indptr), shape=(n, n)), lower, upper
 
 
 def _gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:

@@ -64,7 +64,9 @@ def lambda_max(
         max_lu_phases = max_phases
     space = enumerate_phases(config, max_phases=max_phases)
     blocks = build_blocks(config, space)
-    stat = solve_stationary(phase_generator(blocks), max_lu_phases=max_lu_phases)
+    stat = solve_stationary(
+        phase_generator(blocks), max_lu_phases=max_lu_phases, phases=space.phases
+    )
     down_rates = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     rate = float(stat.pi @ down_rates)
     closed = None

@@ -176,17 +176,20 @@ UNEVEN = ([3.0, 1.0, 2.0, 1.0, 3.0], [4, 0, 4, 0])  # 379 phases
     ],
 )
 def test_gmres_matches_sparse_lu(rates, buffers):
-    # both tiers on the same generator fold to the same rate
+    # both tiers on the same generator fold to the same rate, with the
+    # sweeps in the flow order that lambda_max uses and in A's own order
     cfg = validate_config(rates, buffers)
-    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    space = enumerate_phases(cfg)
+    blocks = build_blocks(cfg, space)
     A = phase_generator(blocks)
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     lu_rate = _solve_sparse(A) @ down
-    it_pi, iterations = _solve_gmres(A)
-    assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
-    assert abs(lu_rate - it_pi @ down) <= 1e-10
-    if (rates, buffers) in (STIFF, UNEVEN):
-        assert abs(lu_rate - it_pi @ down) <= 1e-12 * lu_rate
+    for phases in (space.phases, None):
+        it_pi, iterations = _solve_gmres(A, phases)
+        assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
+        assert abs(lu_rate - it_pi @ down) <= 1e-10
+        if (rates, buffers) in (STIFF, UNEVEN):
+            assert abs(lu_rate - it_pi @ down) <= 1e-12 * lu_rate
 
 
 @pytest.mark.parametrize(
@@ -201,14 +204,47 @@ def test_gmres_matches_sparse_lu(rates, buffers):
 )
 def test_gmres_matches_scipy(rates, buffers, monkeypatch):
     # the package's loop and scipy's, on the same preconditioned system,
-    # stop after the same number of iterations at the same vector
+    # stop after the same number of iterations at the same vector, in flow
+    # order and in A's own order
     cfg = validate_config(rates, buffers)
-    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
-    pi, iterations = _solve_gmres(A)
+    space = enumerate_phases(cfg)
+    A = phase_generator(build_blocks(cfg, space))
+    orders = (space.phases, None)
+    ours = [_solve_gmres(A, phases) for phases in orders]
     monkeypatch.setattr(stationary, "_gmres", scipy_gmres)
-    want, want_iterations = _solve_gmres(A)
-    assert iterations == want_iterations
-    np.testing.assert_allclose(pi, want, rtol=0.0, atol=1e-13)
+    for (pi, iterations), phases in zip(ours, orders):
+        want, want_iterations = _solve_gmres(A, phases)
+        assert iterations == want_iterations
+        np.testing.assert_allclose(pi, want, rtol=0.0, atol=1e-13)
+
+
+def test_gmres_returns_pi_in_phase_order():
+    # the flow-ordered solve hands back pi indexed like the phase space
+    cfg = validate_config(*LARGE)
+    space = enumerate_phases(cfg)
+    A = phase_generator(build_blocks(cfg, space))
+    result = solve_stationary(A, phases=space.phases)
+    assert result.solver == "gmres-sgs"
+    lu = _solve_sparse(A)
+    np.testing.assert_allclose(result.pi, lu / lu.sum(), rtol=0.0, atol=1e-12)
+
+
+def test_phases_must_match_the_generator():
+    cfg = validate_config(*CONFIGS[0])
+    space = enumerate_phases(cfg)
+    A = phase_generator(build_blocks(cfg, space))
+    with pytest.raises(ValueError, match="4 phases for a generator of 5"):
+        solve_stationary(A, phases=space.phases[:-1])
+
+
+def test_flow_order_iteration_ceiling():
+    # 6,765 phases: 26 inner iterations in flow order, 49 in A's own order;
+    # a solve that loses the flow order fails the ceiling
+    cfg = validate_config([1.0] * 10, [0] * 9)
+    report = lambda_max(cfg)
+    assert report.solver == "gmres-sgs"
+    assert report.iterations <= 35
+    assert _solve_gmres(phase_generator(report.blocks))[1] > 35
 
 
 def test_gmres_that_does_not_converge_raises(monkeypatch):
