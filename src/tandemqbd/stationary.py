@@ -9,22 +9,27 @@ picks one of three solvers for that system:
 - dense LU with partial pivoting at or below SPARSE_MIN_PHASES phases,
   where a sparse solver's fixed cost outweighs what it saves;
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner above
-  ITERATIVE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
-  nonzeros per row on average: its memory is O(nnz), where the fill of a
-  sparse LU grows fast with the number of servers. Lines of four or more
-  servers usually qualify; a line of three or fewer never does, and
-  neither does a longer line whose buffers are mostly zero. Given the
+  SPARSE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
+  nonzeros per row on average, at any size: its memory is O(nnz), where
+  the fill of a sparse LU grows fast with the number of servers, and on
+  such lines it is as fast as sparse LU or faster from a few hundred
+  phases up (two to three times on the paper's 780-phase grid lines).
+  Lines of five or more servers usually qualify. A line of three or
+  fewer never does, nor does a four-server line with short buffers or a
+  longer line whose buffers are mostly zero or short beside one long
+  one. Given the
   phases, the system is renumbered into flow order (descending, the last
   station's coordinate most significant), which lines the Gauss-Seidel
   sweeps up with the flow of customers and about halves the iterations
   that the lexicographic order takes. The GMRES loop is this module's
   own, with scipy's stopping rule: scipy's loop spent about half of each
   solve in Python overhead;
-- sparse LU (SuperLU, minimum-degree ordering) otherwise, on which the
-  preconditioned GMRES converges slowly or not at all. Its fill can grow
-  with the square of the phase count (on a line with one long buffer and
-  the rest short), so it refuses lines above SPARSE_LU_MAX_PHASES phases
-  unless the caller raises that cap.
+- sparse LU (SuperLU, minimum-degree ordering) otherwise, at any size:
+  on these sparser lines the preconditioned GMRES is slower, converges
+  slowly or not at all. Its fill can grow with the square of the phase
+  count (on a line with one long buffer and the rest short), so it
+  refuses lines above SPARSE_LU_MAX_PHASES phases unless the caller
+  raises that cap.
 
 Every solver's answer passes the same residual and sign gate.
 
@@ -58,12 +63,14 @@ RESIDUAL_RTOL = 1e-10
 NEGATIVE_ENTRY_TOL = -1e-9
 # lines with more phases than this are solved by sparse LU or GMRES
 SPARSE_MIN_PHASES = 250
-# GMRES takes lines above this many phases whose generator has more than
-# ITERATIVE_MIN_ROW_NNZ nonzeros per row: a line of three or fewer servers
-# has at most 4, lines of four or more servers above 2,000 phases usually
-# 4.5-5.9, but [1]*4, B=[0,0,2000] (mostly zero buffers) has 3.75
-ITERATIVE_MIN_PHASES = 2_000
-ITERATIVE_MIN_ROW_NNZ = 4
+# GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
+# than this many nonzeros per row, sparse LU the rest. A line of three or
+# fewer servers has at most 4. On every line tried above 4.5, from [1]*7,
+# B=0 (377 phases, 4.53) up, GMRES took 0.02-0.97 of sparse LU's time.
+# Below 4.4 it took 1.05-7.2 times as long ([1]*4, B=[5,5,5]: 496 phases,
+# 4.30) or did not converge ([1]*5, B=[0,0,0,300]: 6,355 phases, 4.19);
+# between 4.4 and 4.5 it won on some lines ([1]*4, B=[8,8,8]: 1,309, 4.48)
+ITERATIVE_MIN_ROW_NNZ = 4.5
 # default cap of the sparse-LU tier, the phase cap that held before the
 # GMRES tier. Its peak RSS reached 1.0 GB for [1,1], B=10000 (10,003
 # phases, 830x fill) and 2.0 GB for B=14000, and [1]*4, B=[0,0,24000]
@@ -131,7 +138,7 @@ def solve_stationary(
     if n > SPARSE_MIN_PHASES:
         A = sparse.csr_matrix(A, dtype=float)
         _require_finite(A.data)
-        if n > ITERATIVE_MIN_PHASES and A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
+        if A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
             pi, iterations = _solve_gmres(A, phases)
             solver = "gmres-sgs"
         elif n > max_lu_phases:

@@ -95,10 +95,12 @@ CONFIGS = [
     ([2.0, 0.5], [0]),
     ([0.8, 1.0, 1.0], [1, 1]),
     ([1.5, 0.7, 1.1, 0.9], [2, 0, 1]),
-    ([0.8, 1.0, 1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1, 1]),  # 780 phases
+    ([0.8, 1.0, 1.0, 1.0, 1.0, 1.0], [1, 1, 1, 1, 1]),  # 780 phases, GMRES
 ]
 # 2,911 phases, well above SPARSE_MIN_PHASES; a seven-server line goes to GMRES
 LARGE = ([1.25] + [1.0] * 6, [1] * 6)
+# 496 phases at 4.30 nonzeros per row: four servers, short buffers, sparse LU
+SPARSE = ([1.0] * 4, [5] * 3)
 
 
 @pytest.mark.parametrize("rates,buffers", CONFIGS + [LARGE])
@@ -123,10 +125,10 @@ def test_scale_invariance(scale):
 
 def test_sparse_lu_cap():
     # sparse LU refuses a line above its cap; GMRES and dense LU ignore it
-    A = generator_for(*CONFIGS[-1])  # 780 phases, sparse LU
+    A = generator_for(*SPARSE)  # 496 phases
     with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
-        solve_stationary(A, max_lu_phases=779)
-    assert solve_stationary(A, max_lu_phases=780).solver == "sparse-lu"
+        solve_stationary(A, max_lu_phases=495)
+    assert solve_stationary(A, max_lu_phases=496).solver == "sparse-lu"
     assert solve_stationary(generator_for(*LARGE), max_lu_phases=1).solver == "gmres-sgs"
     assert solve_stationary(generator_for(*CONFIGS[0]), max_lu_phases=1).solver == "dense-lu"
 
@@ -140,21 +142,26 @@ def test_agrees_with_power_method(rates, buffers):
 
 
 def test_sparse_solve_matches_dense_lu():
-    # the same normalised system, factored densely, folds to the same rate;
-    # 780 phases on six servers lie between the dense and the GMRES tier
-    cfg = validate_config([0.8] + [1.0] * 5, [1] * 5)
-    blocks = build_blocks(cfg, enumerate_phases(cfg))
-    A = phase_generator(blocks).toarray()
-    assert len(A) > SPARSE_MIN_PHASES
-    system = A.T.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(len(A))
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    dense = pi @ np.asarray(blocks.level_down.sum(axis=1)).ravel()
-    report = lambda_max(cfg)
-    assert report.solver == "sparse-lu"
-    assert abs(report.lambda_max - dense) <= 1e-12
+    # the same normalised system, factored densely, folds to the same rate
+    # on both tiers above SPARSE_MIN_PHASES: 496 phases on four servers
+    # (sparse LU) and a 780-phase grid line on six (GMRES)
+    for (rates, buffers), solver in [
+        (SPARSE, "sparse-lu"),
+        (([0.8] + [1.0] * 5, [1] * 5), "gmres-sgs"),
+    ]:
+        cfg = validate_config(rates, buffers)
+        blocks = build_blocks(cfg, enumerate_phases(cfg))
+        A = phase_generator(blocks).toarray()
+        assert len(A) > SPARSE_MIN_PHASES
+        system = A.T.copy()
+        system[-1, :] = 1.0
+        rhs = np.zeros(len(A))
+        rhs[-1] = 1.0
+        pi = np.linalg.solve(system, rhs)
+        dense = pi @ np.asarray(blocks.level_down.sum(axis=1)).ravel()
+        report = lambda_max(cfg)
+        assert report.solver == solver
+        assert abs(report.lambda_max - dense) <= 1e-12
 
 
 # on these lines a looser inner stop than scipy's left the rate about ten
@@ -173,6 +180,8 @@ UNEVEN = ([3.0, 1.0, 2.0, 1.0, 3.0], [4, 0, 4, 0])  # 379 phases
         ([1.0] + [30.0] * 6, [1] * 6),  # 2,911
         STIFF,
         UNEVEN,
+        ([1.0] * 7, [0] * 6),  # 377, the smallest GMRES line tried
+        ([1.0] * 8, [0] * 7),  # 987
     ],
 )
 def test_gmres_matches_sparse_lu(rates, buffers):
@@ -267,6 +276,17 @@ def test_long_buffers_before_fast_servers():
     assert report.solver == "sparse-lu"  # GMRES converges poorly here
     assert np.isfinite(report.lambda_max)
     assert abs(report.lambda_max - 1.0) <= 1e-9
+
+
+def test_long_last_buffer_decouples_the_last_server():
+    # 6,355 phases at 4.19 nonzeros per row, on which GMRES does not
+    # converge: sparse LU solves it, and a 300-slot last buffer leaves the
+    # first four servers to set the rate, as a four-server zero-buffer line
+    report = lambda_max(validate_config([1.0] * 5, [0, 0, 0, 300]))
+    assert report.num_phases == 6_355
+    assert report.solver == "sparse-lu"
+    shorter = lambda_max(validate_config([1.0] * 4, [0, 0, 0]))
+    assert abs(report.lambda_max - shorter.lambda_max) <= 1e-12
 
 
 @pytest.mark.parametrize(

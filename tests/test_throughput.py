@@ -12,9 +12,11 @@ from tandemqbd import (
     closed_form_two_server,
     is_stable,
     lambda_max,
+    phase_generator,
     validate_config,
 )
 from tandemqbd import throughput
+from tandemqbd.stationary import ITERATIVE_MIN_ROW_NNZ, SPARSE_MIN_PHASES
 
 
 def line(rates, buffers):
@@ -98,26 +100,33 @@ def test_reversal_invariance_at_40545_phases():
     "rates,buffers,solver",
     [
         ([1.0] * 3, [0, 0], "dense-lu"),  # 8 phases
-        ([0.8] + [1.0] * 5, [1] * 5, "sparse-lu"),  # 780 phases, a grid line
-        ([1.25] + [1.0] * 6, [1] * 6, "gmres-sgs"),  # 2,911 phases
+        ([1.0] * 4, [5] * 3, "sparse-lu"),  # 496 phases, 4.30 nonzeros per row
+        ([1.25] + [1.0] * 6, [1] * 6, "gmres-sgs"),  # 2,911 phases, 5.38
+        ([1.0] * 7, [0] * 6, "gmres-sgs"),  # 377 phases, 4.53
+        ([1.0] * 5, [2] * 4, "gmres-sgs"),  # 551 phases, 4.56
+        ([1.0] * 5, [1] * 4, "dense-lu"),  # 209 phases, 4.22
     ],
 )
 def test_report_names_its_solver(rates, buffers, solver):
+    # above SPARSE_MIN_PHASES one density test picks the tier, at any size
     report = lambda_max(line(rates, buffers))
     assert report.solver == solver
     assert (report.iterations > 0) == (solver == "gmres-sgs")
+    n, nnz = report.num_phases, phase_generator(report.blocks).nnz
+    assert (n > SPARSE_MIN_PHASES) == (solver != "dense-lu")
+    assert (nnz > ITERATIVE_MIN_ROW_NNZ * n) == (solver == "gmres-sgs")
 
 
 def test_explicit_cap_covers_sparse_lu(monkeypatch):
     # the default cap of a sparse-LU line is the lower one; an explicit
     # max_phases applies to every line
-    monkeypatch.setattr(throughput, "SPARSE_LU_MAX_PHASES", 500)
-    config = line([0.8] + [1.0] * 5, [1] * 5)  # 780 phases, sparse LU
+    monkeypatch.setattr(throughput, "SPARSE_LU_MAX_PHASES", 400)
+    config = line([1.0] * 4, [5] * 3)  # 496 phases, sparse LU
     with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
         lambda_max(config)
-    assert lambda_max(config, max_phases=780).solver == "sparse-lu"
+    assert lambda_max(config, max_phases=496).solver == "sparse-lu"
     with pytest.raises(StateSpaceTooLargeError):
-        lambda_max(config, max_phases=779)
+        lambda_max(config, max_phases=495)
 
 
 def test_buffers_never_hurt():
