@@ -18,14 +18,10 @@ from .generator import triplet_lines
 from .model import TandemConfig, load_config_file, validate_config
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
 from .simulate import simulate_saturated
-from .stationary import SPARSE_LU_MAX_PHASES
 from .throughput import lambda_max
 
 SWEEP_HEADER = "servers,buffer_capacity,mu0,mu_rest,M,lambda_max"
-MAX_STATES_HELP = (
-    f"phase-count cap (default {DEFAULT_MAX_PHASES}, or {SPARSE_LU_MAX_PHASES} "
-    "for a line that sparse LU solves)"
-)
+MAX_STATES_HELP = "phase-count cap (default %(default)s)"
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -194,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dump the rate blocks as triplets to stderr")
     p_analyze.add_argument("--dump-pi", action="store_true",
                            help="include the stationary phase vector in the output")
-    p_analyze.add_argument("--max-states", type=int, help=MAX_STATES_HELP)
+    p_analyze.add_argument("--max-states", type=int, default=DEFAULT_MAX_PHASES,
+                           help=MAX_STATES_HELP)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="grid of homogeneous-buffer lines")
@@ -209,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--precision", choices=("9", "full"), default="9",
                          help="9-decimal fixed output or full double precision")
-    p_sweep.add_argument("--max-states", type=int, help=MAX_STATES_HELP)
+    p_sweep.add_argument("--max-states", type=int, default=DEFAULT_MAX_PHASES,
+                         help=MAX_STATES_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="simulated saturation estimate")

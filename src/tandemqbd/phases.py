@@ -29,10 +29,12 @@ from .errors import (
 )
 from .model import TandemConfig
 
-# sized for the GMRES tier of the stationary solve on a 2-vCPU host with
-# 7 GB: `analyze` solves [1]*10, B=1 (151,316 phases) in 1.6-1.9 s and
-# 236 MB. Lines that sparse LU takes have a lower default cap,
-# SPARSE_LU_MAX_PHASES
+# sized for both solvers of the stationary solve on a 2-vCPU host with
+# 7 GB: `analyze` solves [1]*10, B=1 (151,316 phases) by GMRES in
+# 1.6-1.9 s and 236 MB, and, by level reduction, [1,1,1], B=[440,440]
+# (196,248 phases, its costliest shape under the cap: 443 levels of about
+# 443 phases) in 7.3 s and 795 MB and [1,1], B=199000 (199,003 levels of
+# one phase) in 7.5 s and 256 MB
 DEFAULT_MAX_PHASES = 200_000
 
 

@@ -2,40 +2,40 @@
 
 The phase marginal solves pi A = 0, pi e = 1 where A is the entrywise sum
 of the level blocks (the arrival terms cancel between the diagonal blocks,
-so they never appear). One equation of pi A = 0 is redundant; the one for
-the highest-indexed phase is replaced by the normalization. The shape of A
-picks one of three solvers for that system:
+so they never appear). The size and density of A pick one of two solvers:
 
-- dense LU with partial pivoting at or below SPARSE_MIN_PHASES phases,
-  where a sparse solver's fixed cost outweighs what it saves;
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner above
   SPARSE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
-  nonzeros per row on average, at any size: its memory is O(nnz), where
-  the fill of a sparse LU grows fast with the number of servers, and on
-  such lines it is as fast as sparse LU or faster from a few hundred
-  phases up (two to three times on the paper's 780-phase grid lines).
-  Lines of five or more servers usually qualify. A line of three or
-  fewer never does, nor does a four-server line with short buffers or a
-  longer line whose buffers are mostly zero or short beside one long
-  one. Given the
-  phases, the system is renumbered into flow order (descending, the last
-  station's coordinate most significant), which lines the Gauss-Seidel
-  sweeps up with the flow of customers and about halves the iterations
-  that the lexicographic order takes. The GMRES loop is this module's
-  own, with scipy's stopping rule: scipy's loop spent about half of each
-  solve in Python overhead;
-- sparse LU (SuperLU, minimum-degree ordering) otherwise, at any size:
-  on these sparser lines the preconditioned GMRES is slower, converges
-  slowly or not at all. Its fill can grow with the square of the phase
-  count (on a line with one long buffer and the rest short), so it
-  refuses lines above SPARSE_LU_MAX_PHASES phases unless the caller
-  raises that cap.
+  nonzeros per row on average, at any size: its memory is O(nnz), and on
+  such lines it is faster than eliminating A by blocks from a few hundred
+  phases up (two to three times on the paper's 780-phase grid lines,
+  about eighty times at 6,765 phases). Lines of five or more servers usually
+  qualify. A line of three or fewer never does, nor does a four-server
+  line with short buffers or a longer line whose buffers are mostly zero
+  or short beside one long one. Given the phases, the system is
+  renumbered into flow order (descending, the last station's coordinate
+  most significant), which lines the Gauss-Seidel sweeps up with the flow
+  of customers and about halves the iterations that the lexicographic
+  order takes. The GMRES loop is this module's own, with scipy's stopping
+  rule: scipy's loop spent about half of each solve in Python overhead;
+- linear level reduction otherwise. A transition moves any one phase
+  coordinate by at most one, so grouping the phases by the value of one
+  coordinate makes A block tridiagonal: a level-dependent QBD inside the
+  phase space. The blocks are eliminated from the lowest level up (Gaver,
+  Jacobs & Latouche, Adv. Appl. Prob. 16, 1984), with each Schur
+  complement's diagonal rebuilt from its off-diagonal row sums (Grassmann,
+  Taksar & Heyman, Oper. Res. 33(5), 1985), and the top level is solved
+  by dense LU. At or below SPARSE_MIN_PHASES phases, or without the
+  phases, the whole of A is one level, and the solver is plain dense LU
+  with partial pivoting, the normalisation replacing the equation of the
+  highest-indexed phase. Its memory is that of the stored multipliers,
+  the sum of the products of neighbouring level sizes.
 
 Every solver's answer passes the same residual and sign gate.
 
 scipy is imported inside the functions that use it, not here: scipy.sparse
 and scipy.sparse.linalg take about 0.2 s to import, a simulation needs
-neither, and a line at or below SPARSE_MIN_PHASES never needs the second.
+neither, and only GMRES needs the second.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    NonPositiveSolutionError,
-    NumericalError,
-    SingularSystemError,
-    StateSpaceTooLargeError,
-)
+from .errors import NonPositiveSolutionError, NumericalError, SingularSystemError
 from .generator import QbdBlocks
 
 if TYPE_CHECKING:
@@ -61,21 +56,20 @@ if TYPE_CHECKING:
 RESIDUAL_RTOL = 1e-10
 # entries at or below this are treated as genuinely negative, not roundoff
 NEGATIVE_ENTRY_TOL = -1e-9
-# lines with more phases than this are solved by sparse LU or GMRES
+# lines with more phases than this may go to GMRES, and are reduced by
+# levels when they do not
 SPARSE_MIN_PHASES = 250
 # GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
-# than this many nonzeros per row, sparse LU the rest. A line of three or
-# fewer servers has at most 4. On every line tried above 4.5, from [1]*7,
-# B=0 (377 phases, 4.53) up, GMRES took 0.02-0.97 of sparse LU's time.
-# Below 4.4 it took 1.05-7.2 times as long ([1]*4, B=[5,5,5]: 496 phases,
-# 4.30) or did not converge ([1]*5, B=[0,0,0,300]: 6,355 phases, 4.19);
-# between 4.4 and 4.5 it won on some lines ([1]*4, B=[8,8,8]: 1,309, 4.48)
+# than this many nonzeros per row, level reduction the rest. A line of
+# three or fewer servers has at most 4. On every line tried above 4.5,
+# from [1]*7, B=0 (377 phases, 4.53) up, GMRES took 0.02-0.97 of the time
+# of a sparse LU, which level reduction is slower still on these lines
+# (6-7 ms against GMRES's 2.7 ms at 780 phases, 2.2 s against 27 ms at
+# 6,765). Below 4.4 GMRES took 1.05-7.2 times as long as sparse LU
+# ([1]*4, B=[5,5,5]: 496 phases, 4.30) or did not converge ([1]*5,
+# B=[0,0,0,300]: 6,355 phases, 4.19); between 4.4 and 4.5 it won on some
+# lines ([1]*4, B=[8,8,8]: 1,309, 4.48)
 ITERATIVE_MIN_ROW_NNZ = 4.5
-# default cap of the sparse-LU tier, the phase cap that held before the
-# GMRES tier. Its peak RSS reached 1.0 GB for [1,1], B=10000 (10,003
-# phases, 830x fill) and 2.0 GB for B=14000, and [1]*4, B=[0,0,24000]
-# (192,021 phases) was killed for lack of memory on a 7 GB host
-SPARSE_LU_MAX_PHASES = 50_000
 # GMRES stops at a residual of GMRES_RTOL relative to |rhs| = 1, or after
 # GMRES_MAXITER restarts of GMRES_RESTART inner iterations each
 GMRES_RTOL = 1e-14
@@ -88,9 +82,9 @@ class StationaryVector:
     """Solved phase distribution, the residual and the solver that ran.
 
     ``pi`` sums to one; ``residual`` is the max-norm of pi A achieved by
-    the returned (pre-clamping) solution. ``solver`` is ``"dense-lu"``,
-    ``"sparse-lu"`` or ``"gmres-sgs"``; ``iterations`` counts GMRES inner
-    iterations and is 0 for LU.
+    the returned (pre-clamping) solution. ``solver`` is ``"block-lu"``
+    (level reduction, dense LU on one level) or ``"gmres-sgs"``;
+    ``iterations`` counts GMRES inner iterations and is 0 for block-lu.
     """
 
     pi: np.ndarray
@@ -105,26 +99,25 @@ def phase_generator(blocks: QbdBlocks) -> sparse.csr_matrix:
 
 
 def solve_stationary(
-    A: np.ndarray | sparse.spmatrix,
-    max_lu_phases: int = SPARSE_LU_MAX_PHASES,
-    phases: np.ndarray | None = None,
+    A: np.ndarray | sparse.spmatrix, phases: np.ndarray | None = None
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
     A may be dense or sparse; its phase count and nonzeros per row pick the
     solver (see the module docstring). ``phases``, the (M, K) phase array
-    that A's rows and columns follow, lets GMRES sweep in flow order; the
-    other solvers ignore it, and without it GMRES sweeps in A's own order.
-    pi comes back in A's order either way. Raises ValueError when A is not
-    square or ``phases`` has not one row per phase;
-    StateSpaceTooLargeError when sparse LU would take more than
-    ``max_lu_phases`` phases; SingularSystemError when A has a non-finite
-    entry, when a factorization fails, or when the residual is not finite
-    or exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond
-    the expected one-dimensional null space); NumericalError when GMRES
-    does not converge; and NonPositiveSolutionError when the solution
-    carries an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical
-    failure). Roundoff-scale negatives are clamped to zero and the vector
+    that A's rows and columns follow, gives level reduction its levels and
+    lets GMRES sweep in flow order; without it level reduction takes A as
+    one level and GMRES sweeps in A's own order. pi comes back in A's order
+    either way. Raises ValueError when A is not square, ``phases`` has not
+    one row per phase, or a transition of A moves the level coordinate by
+    more than one; SingularSystemError when A has a non-finite entry, when
+    a factorization fails, when a level's share of pi is not positive and
+    finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
+    relative to max|A| (rank deficiency beyond the expected
+    one-dimensional null space); NumericalError when GMRES does not
+    converge; and NonPositiveSolutionError when the solution carries an
+    entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
+    Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
     from scipy import sparse
@@ -141,33 +134,19 @@ def solve_stationary(
         if A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
             pi, iterations = _solve_gmres(A, phases)
             solver = "gmres-sgs"
-        elif n > max_lu_phases:
-            raise StateSpaceTooLargeError(
-                f"line has {n} phases, above the cap of {max_lu_phases} for sparse "
-                "LU, whose fill can grow with the square of the phase count; raise "
-                "max_phases (--max-states on the command line) to solve it"
-            )
         else:
-            pi, iterations = _solve_sparse(A), 0
-            solver = "sparse-lu"
+            pi, iterations = _solve_levels(A, phases), 0
+            solver = "block-lu"
         scale = float(np.max(np.abs(A.data), initial=0.0))
         residual = float(np.max(np.abs(A.T @ pi)))
         return _checked(pi, residual, scale, solver, iterations)
 
     A = np.asarray(A.toarray() if sparse.issparse(A) else A, dtype=float)
     _require_finite(A)
-    system = A.T.copy()
-    system[-1, :] = 1.0  # replace the last phase's equation with pi e = 1
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-
+    pi = _solve_levels(A)
     scale = float(np.max(np.abs(A)))
     residual = float(np.max(np.abs(pi @ A)))
-    return _checked(pi, residual, scale, "dense-lu", 0)
+    return _checked(pi, residual, scale, "block-lu", 0)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -176,32 +155,102 @@ def _require_finite(values: np.ndarray) -> None:
         raise SingularSystemError("generator has a non-finite entry")
 
 
-def _solve_sparse(A: sparse.csr_matrix) -> np.ndarray:
-    """The dense branch's system, A^T with its last row replaced by ones,
-    factored by SuperLU.
+def _solve_levels(
+    A: np.ndarray | sparse.csr_matrix, phases: np.ndarray | None = None
+) -> np.ndarray:
+    """pi A = 0, pi e = 1 by linear level reduction; pi in A's order.
 
-    Minimum-degree ordering on the pattern of system + system^T, with
-    pivots kept on the diagonal where they are within a factor 10 of the
-    column's largest, suits a generator whose pattern is near-symmetric.
+    The levels are the values of the phase coordinate with the largest
+    radix, which gives the smallest blocks: the cost is about the sum of
+    the cubes of the level sizes. A transition moves that coordinate by at
+    most one, so A is block tridiagonal in it. Reducing from the bottom,
+    S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} = A_{l+1,l+1} +
+    R_l A_{l,l+1}: S_l is the level-l block of the chain watched only on
+    levels l and up, so S_l e + A_{l,l+1} e = 0. Its off-diagonal entries
+    are sums of non-negative terms, and its diagonal is reset to minus
+    their row sum and the row sum of A_{l,l+1} (the GTH rule), which keeps
+    each row's balance free of cancellation. The top level is solved by
+    :func:`_solve_dense` and the rest back-substituted, pi_l = pi_{l+1}
+    R_l, each level normalised as it comes with its log scale carried
+    along: the mass of a level can fall below the smallest double many
+    levels down ([1]*4, B=[0,0,2000] gives NaN without it).
+
+    Without ``phases`` A is one level and this is :func:`_solve_dense`,
+    unnormalised. Raises ValueError when a transition of A moves the level
+    coordinate by more than one, and SingularSystemError when a level's
+    elimination is exactly singular or its mass is not positive and
+    finite.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
+    if phases is None:
+        return _solve_dense(A if isinstance(A, np.ndarray) else A.toarray())
 
-    n = A.shape[0]
-    ones = sparse.csr_matrix(np.ones((1, n)))
-    system = sparse.vstack([A.T.tocsr()[:-1], ones], format="csr")
+    n = len(phases)
+    level = phases[:, np.argmax(phases.max(axis=0))]
+    sizes = np.bincount(level)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(level, kind="stable")  # level by level, A's order within
+    local = np.empty(n, dtype=np.intp)  # each phase's position in its level
+    local[order] = np.arange(n) - np.repeat(starts, sizes)
+    coo = A.tocoo()
+    coo.sum_duplicates()
+    step = level[coo.col] - level[coo.row]
+    if np.abs(step).max(initial=0) > 1:
+        raise ValueError("a transition moves the level coordinate by more than one")
+    key = 3 * level[coo.row] + step + 1  # (level, step) of each entry
+    by_key = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[by_key], np.arange(3 * len(sizes) + 1))
+    rows, cols, rates = local[coo.row][by_key], local[coo.col][by_key], coo.data[by_key]
+    up = step == 1
+    up_sums = np.bincount(coo.row[up], coo.data[up], minlength=n)[order]
+
+    def block(l: int, offset: int) -> np.ndarray:
+        """A_{l,l+offset} as a dense array."""
+        at = slice(bounds[3 * l + offset + 1], bounds[3 * l + offset + 2])
+        out = np.zeros((sizes[l], sizes[l + offset]))
+        out[rows[at], cols[at]] = rates[at]
+        return out
+
+    S, multipliers = block(0, 0), []
+    for l in range(1, len(sizes)):
+        try:
+            R = np.linalg.solve(-S.T, block(l, -1).T).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"stationary system is singular at level {l - 1}: {exc}"
+            ) from exc
+        S = block(l, 0) + R @ block(l - 1, 1)
+        np.fill_diagonal(S, 0.0)
+        np.fill_diagonal(S, -(S.sum(axis=1) + up_sums[starts[l] : starts[l] + sizes[l]]))
+        multipliers.append(R)
+
+    x, levels, log_scales, log_scale = _solve_dense(S), [], [], 0.0
+    for R in [None, *reversed(multipliers)]:
+        if R is not None:
+            x = levels[-1] @ R
+        mass = float(np.sum(x))
+        if not 0.0 < mass < math.inf:
+            raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
+        log_scale += math.log(mass)
+        levels.append(x / mass)
+        log_scales.append(log_scale)
+    weights = np.exp(np.array(log_scales) - max(log_scales))
+    pi = np.empty(n)
+    pi[order] = np.concatenate([part * w for part, w in zip(levels[::-1], weights[::-1])])
+    return pi / pi.sum()
+
+
+def _solve_dense(A: np.ndarray) -> np.ndarray:
+    """A^T with its last row replaced by ones, solved by dense LU: pi A = 0
+    but for the highest-indexed phase's equation, and pi e = 1."""
+    n = len(A)
+    system = A.T.copy()
+    system[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        lu = splu(
-            system.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:  # SuperLU reports an exactly zero pivot
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-    return lu.solve(rhs)
 
 
 def _triangle_solver(T: sparse.spmatrix):

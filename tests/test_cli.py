@@ -26,7 +26,7 @@ def test_analyze_two_server(capsys):
     assert payload["lambda_max"] == pytest.approx(0.8, abs=1e-12)
     assert payload["M"] == 5
     assert payload["residual"] <= 1e-12
-    assert (payload["solver"], payload["iterations"]) == ("dense-lu", 0)
+    assert (payload["solver"], payload["iterations"]) == ("block-lu", 0)
     assert payload["closed_form_check"]["abs_diff"] <= 1e-10
 
 
@@ -144,15 +144,24 @@ def test_analyze_max_states_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+    # one cap for every solver: 496 phases, level reduction
+    line = ["analyze", "--mu", "1,1,1,1", "--buffers", "5", "--max-states"]
+    code, out, err = run(capsys, *line, "495")
+    assert (code, out) == (2, "")
+    assert "above the cap of 495" in err
+    code, out, _ = run(capsys, *line, "496")
+    assert code == 0
+    assert json.loads(out)["solver"] == "block-lu"
 
 
 def test_analyze_sparse_lu_cap(capsys):
-    # 60,003 phases on a two-server line go to sparse LU, whose default
-    # cap is lower than the one checked before enumeration
-    code, out, err = run(capsys, "analyze", "--mu", "1,1", "--buffers", "60000")
-    assert code == 2
-    assert out == ""
-    assert "sparse LU" in err and "--max-states" in err
+    # 60,003 phases on a two-server line, under the one default cap; sparse
+    # LU had a lower cap of its own, 50,000 phases, and refused this line
+    code, out, _ = run(capsys, "analyze", "--mu", "1,1", "--buffers", "60000")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["M"], payload["solver"]) == (60_003, "block-lu")
+    assert payload["closed_form_check"]["abs_diff"] <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -313,9 +322,15 @@ def command(*argv):
         ),
         (command("phases", "--k", "3", "--buffer", "1", "--list"), [], ["scipy"]),
         (command("analyze", "--mu", "1,-1", "--buffers", "0"), [], ["scipy"]),
-        # 15 phases: dense LU, but the blocks are assembled sparse
+        # 15 phases: one level, dense LU, but the blocks are assembled sparse
         (
             command("analyze", "--mu", "0.8,1,1", "--buffers", "1"),
+            ["scipy.sparse"],
+            ["scipy.sparse.linalg"],
+        ),
+        # 496 phases: level reduction on the sparse generator
+        (
+            command("analyze", "--mu", "1,1,1,1", "--buffers", "5"),
             ["scipy.sparse"],
             ["scipy.sparse.linalg"],
         ),
@@ -333,6 +348,7 @@ def command(*argv):
         "phases",
         "input-error",
         "analyze-dense",
+        "analyze-levels",
         "analyze-gmres",
     ],
 )

@@ -6,13 +6,14 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from gmres_oracle import scipy_gmres
+from lu_oracle import sparse_lu
 from tandemqbd import (
     NonPositiveSolutionError,
     NumericalError,
     SingularSystemError,
-    StateSpaceTooLargeError,
     TandemConfig,
     build_blocks,
+    closed_form_two_server,
     enumerate_phases,
     lambda_max,
     phase_generator,
@@ -20,7 +21,7 @@ from tandemqbd import (
     validate_config,
 )
 from tandemqbd import stationary
-from tandemqbd.stationary import SPARSE_MIN_PHASES, _solve_gmres, _solve_sparse
+from tandemqbd.stationary import SPARSE_MIN_PHASES, _solve_gmres, _solve_levels
 
 
 def generator_for(rates, buffers):
@@ -99,7 +100,7 @@ CONFIGS = [
 ]
 # 2,911 phases, well above SPARSE_MIN_PHASES; a seven-server line goes to GMRES
 LARGE = ([1.25] + [1.0] * 6, [1] * 6)
-# 496 phases at 4.30 nonzeros per row: four servers, short buffers, sparse LU
+# 496 phases at 4.30 nonzeros per row: four servers, short buffers, level reduction
 SPARSE = ([1.0] * 4, [5] * 3)
 
 
@@ -114,23 +115,14 @@ def test_residual_bound(rates, buffers):
 
 @pytest.mark.parametrize("scale", [10.0, 0.1, 1e6, 1e-6])
 def test_scale_invariance(scale):
-    # a dense-LU line and a GMRES line (whose stopping test is absolute)
-    for rates, buffers in [([0.8, 1.0, 1.3], [1, 2]), LARGE]:
+    # a one-level line, a multi-level line and a GMRES line (whose stopping
+    # test is absolute)
+    for rates, buffers in [([0.8, 1.0, 1.3], [1, 2]), SPARSE, LARGE]:
         base = solve_stationary(generator_for(rates, buffers)).pi
         scaled = solve_stationary(
             generator_for([scale * r for r in rates], buffers)
         ).pi
         np.testing.assert_allclose(scaled, base, atol=1e-12)
-
-
-def test_sparse_lu_cap():
-    # sparse LU refuses a line above its cap; GMRES and dense LU ignore it
-    A = generator_for(*SPARSE)  # 496 phases
-    with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
-        solve_stationary(A, max_lu_phases=495)
-    assert solve_stationary(A, max_lu_phases=496).solver == "sparse-lu"
-    assert solve_stationary(generator_for(*LARGE), max_lu_phases=1).solver == "gmres-sgs"
-    assert solve_stationary(generator_for(*CONFIGS[0]), max_lu_phases=1).solver == "dense-lu"
 
 
 @pytest.mark.parametrize("rates,buffers", CONFIGS)
@@ -144,9 +136,9 @@ def test_agrees_with_power_method(rates, buffers):
 def test_sparse_solve_matches_dense_lu():
     # the same normalised system, factored densely, folds to the same rate
     # on both tiers above SPARSE_MIN_PHASES: 496 phases on four servers
-    # (sparse LU) and a 780-phase grid line on six (GMRES)
+    # (level reduction) and a 780-phase grid line on six (GMRES)
     for (rates, buffers), solver in [
-        (SPARSE, "sparse-lu"),
+        (SPARSE, "block-lu"),
         (([0.8] + [1.0] * 5, [1] * 5), "gmres-sgs"),
     ]:
         cfg = validate_config(rates, buffers)
@@ -185,14 +177,15 @@ UNEVEN = ([3.0, 1.0, 2.0, 1.0, 3.0], [4, 0, 4, 0])  # 379 phases
     ],
 )
 def test_gmres_matches_sparse_lu(rates, buffers):
-    # both tiers on the same generator fold to the same rate, with the
-    # sweeps in the flow order that lambda_max uses and in A's own order
+    # GMRES and the SuperLU oracle on the same generator fold to the same
+    # rate, with the sweeps in the flow order that lambda_max uses and in
+    # A's own order
     cfg = validate_config(rates, buffers)
     space = enumerate_phases(cfg)
     blocks = build_blocks(cfg, space)
     A = phase_generator(blocks)
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
-    lu_rate = _solve_sparse(A) @ down
+    lu_rate = sparse_lu(A) @ down
     for phases in (space.phases, None):
         it_pi, iterations = _solve_gmres(A, phases)
         assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
@@ -234,7 +227,7 @@ def test_gmres_returns_pi_in_phase_order():
     A = phase_generator(build_blocks(cfg, space))
     result = solve_stationary(A, phases=space.phases)
     assert result.solver == "gmres-sgs"
-    lu = _solve_sparse(A)
+    lu = sparse_lu(A)
     np.testing.assert_allclose(result.pi, lu / lu.sum(), rtol=0.0, atol=1e-12)
 
 
@@ -273,20 +266,83 @@ def test_long_buffers_before_fast_servers():
     # 10,608 phases; the slow first server is the bottleneck, buffers ample
     report = lambda_max(validate_config([1.0, 30.0, 30.0], [100, 100]))
     assert report.num_phases == 10_608
-    assert report.solver == "sparse-lu"  # GMRES converges poorly here
+    assert report.solver == "block-lu"  # GMRES converges poorly here
     assert np.isfinite(report.lambda_max)
     assert abs(report.lambda_max - 1.0) <= 1e-9
 
 
 def test_long_last_buffer_decouples_the_last_server():
     # 6,355 phases at 4.19 nonzeros per row, on which GMRES does not
-    # converge: sparse LU solves it, and a 300-slot last buffer leaves the
-    # first four servers to set the rate, as a four-server zero-buffer line
+    # converge: level reduction solves it, and a 300-slot last buffer
+    # leaves the first four servers to set the rate, as a four-server
+    # zero-buffer line
     report = lambda_max(validate_config([1.0] * 5, [0, 0, 0, 300]))
     assert report.num_phases == 6_355
-    assert report.solver == "sparse-lu"
+    assert report.solver == "block-lu"
     shorter = lambda_max(validate_config([1.0] * 4, [0, 0, 0]))
     assert abs(report.lambda_max - shorter.lambda_max) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [
+        ([1.0] * 4, [1, 1, 200]),  # 3,041 phases, 4.06 nonzeros per row
+        ([1.0] * 5, [0, 0, 0, 30]),  # 685
+        ([1.0] * 5, [0, 0, 0, 100]),  # 2,155
+        ([1.0] * 5, [0, 0, 0, 300]),  # 6,355
+        ([1.0] * 4, [2, 2, 300]),  # 7,267
+        UNEVEN,  # 379
+        SPARSE,  # 496
+        ([1.0] * 4, [3, 3, 50]),  # 1,849
+        ([1.0] * 4, [6] * 3),  # 711
+        ([1.0] * 4, [8] * 3),  # 1,309, 4.48 nonzeros per row
+        ([1.0] * 5, [0, 5, 0, 50]),  # 3,475, 4.49
+    ],
+)
+def test_levels_match_lu_oracle(rates, buffers):
+    # level reduction and SuperLU fold to the same rate on the lines that
+    # the density rule keeps from GMRES
+    cfg = validate_config(rates, buffers)
+    space = enumerate_phases(cfg)
+    blocks = build_blocks(cfg, space)
+    A = phase_generator(blocks)
+    assert A.nnz <= stationary.ITERATIVE_MIN_ROW_NNZ * A.shape[0]
+    down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
+    lu_rate = sparse_lu(A) @ down
+    assert abs(_solve_levels(A, space.phases) @ down - lu_rate) <= 1e-12 * lu_rate
+
+
+# each of these lost its answer when a step of the level reduction was
+# left out: without the GTH diagonal the solve raised or drifted, without
+# the rescaling of each level the vector overflowed to NaN
+def rate(rates, buffers):
+    return lambda_max(validate_config(rates, buffers)).lambda_max
+
+
+def test_levels_stiff_two_server_line():
+    # 3,003 levels of one phase; the rate ratio 1e-3 makes pi geometric
+    got = rate([1e-3, 1.0], [3000])
+    want = closed_form_two_server(1e-3, 1.0, 3000)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "rates,buffers", [([1e-3, 1e3, 1.0], [2, 3000]), ([1.0, 1e3, 1e-3], [3000, 2])]
+)
+def test_levels_stiff_three_server_line(rates, buffers):
+    # the slow server is the bottleneck and the long buffer keeps it busy
+    assert abs(rate(rates, buffers) - 1e-3) <= 1e-12 * 1e-3
+
+
+def test_levels_long_last_buffer():
+    # 16,021 phases; the 2,000-slot last buffer decouples the last server,
+    # and the mass of the levels spans far more than a double's range
+    assert abs(rate([1.0] * 4, [0, 0, 2000]) - rate([1.0] * 3, [0, 0])) <= 1e-12
+
+
+def test_levels_long_buffer_reversal():
+    # 15,008 phases, the long buffer first or last
+    assert abs(rate([1.0] * 3, [0, 5000]) - rate([1.0] * 3, [5000, 0])) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -332,6 +388,26 @@ def test_disconnected_sparse_generator_is_singular():
     A = sparse.block_diag([ring, 2.0 * ring], format="csr")
     with pytest.raises(SingularSystemError):
         solve_stationary(A)
+
+
+@pytest.mark.parametrize(
+    "cut_up,match",
+    [(True, "singular at level 149"), (False, "has mass 0")],
+    ids=["two-closed-classes", "transient-levels"],
+)
+def test_reducible_multi_level_generator_is_singular(cut_up, match):
+    # one phase per level, the chain cut between levels 149 and 150: an
+    # exactly singular elimination or a level without mass is refused as
+    # singular, not left to numpy or math.log
+    n = SPARSE_MIN_PHASES + 50
+    up, down = np.ones(n - 1), np.ones(n - 1)
+    down[149] = 0.0
+    if cut_up:
+        up[149] = 0.0
+    A = sparse.diags([down, up], [-1, 1], format="csr")  # a birth-death chain
+    A = A - sparse.diags(np.asarray(A.sum(axis=1)).ravel())
+    with pytest.raises(SingularSystemError, match=match):
+        solve_stationary(A, phases=np.arange(n)[:, None])
 
 
 def test_sign_indefinite_solution_is_rejected():

@@ -8,14 +8,12 @@ import pytest
 from tandemqbd import (
     InputError,
     NegativeArrivalRateError,
-    StateSpaceTooLargeError,
     closed_form_two_server,
     is_stable,
     lambda_max,
     phase_generator,
     validate_config,
 )
-from tandemqbd import throughput
 from tandemqbd.stationary import ITERATIVE_MIN_ROW_NNZ, SPARSE_MIN_PHASES
 
 
@@ -99,12 +97,12 @@ def test_reversal_invariance_at_40545_phases():
 @pytest.mark.parametrize(
     "rates,buffers,solver",
     [
-        ([1.0] * 3, [0, 0], "dense-lu"),  # 8 phases
-        ([1.0] * 4, [5] * 3, "sparse-lu"),  # 496 phases, 4.30 nonzeros per row
+        ([1.0] * 3, [0, 0], "block-lu"),  # 8 phases
+        ([1.0] * 4, [5] * 3, "block-lu"),  # 496 phases, 4.30 nonzeros per row
         ([1.25] + [1.0] * 6, [1] * 6, "gmres-sgs"),  # 2,911 phases, 5.38
         ([1.0] * 7, [0] * 6, "gmres-sgs"),  # 377 phases, 4.53
         ([1.0] * 5, [2] * 4, "gmres-sgs"),  # 551 phases, 4.56
-        ([1.0] * 5, [1] * 4, "dense-lu"),  # 209 phases, 4.22
+        ([1.0] * 5, [1] * 4, "block-lu"),  # 209 phases, 4.22
     ],
 )
 def test_report_names_its_solver(rates, buffers, solver):
@@ -113,20 +111,8 @@ def test_report_names_its_solver(rates, buffers, solver):
     assert report.solver == solver
     assert (report.iterations > 0) == (solver == "gmres-sgs")
     n, nnz = report.num_phases, phase_generator(report.blocks).nnz
-    assert (n > SPARSE_MIN_PHASES) == (solver != "dense-lu")
-    assert (nnz > ITERATIVE_MIN_ROW_NNZ * n) == (solver == "gmres-sgs")
-
-
-def test_explicit_cap_covers_sparse_lu(monkeypatch):
-    # the default cap of a sparse-LU line is the lower one; an explicit
-    # max_phases applies to every line
-    monkeypatch.setattr(throughput, "SPARSE_LU_MAX_PHASES", 400)
-    config = line([1.0] * 4, [5] * 3)  # 496 phases, sparse LU
-    with pytest.raises(StateSpaceTooLargeError, match="sparse LU"):
-        lambda_max(config)
-    assert lambda_max(config, max_phases=496).solver == "sparse-lu"
-    with pytest.raises(StateSpaceTooLargeError):
-        lambda_max(config, max_phases=495)
+    iterative = n > SPARSE_MIN_PHASES and nnz > ITERATIVE_MIN_ROW_NNZ * n
+    assert iterative == (solver == "gmres-sgs")
 
 
 def test_buffers_never_hurt():
