@@ -32,9 +32,9 @@ from .model import TandemConfig
 # sized for both solvers of the stationary solve on a 2-vCPU host with
 # 7 GB: `analyze` solves [1]*10, B=1 (151,316 phases) by GMRES in
 # 1.6-1.9 s and 236 MB, and, by level reduction, [1,1,1], B=[440,440]
-# (196,248 phases, its costliest shape under the cap: 443 levels of about
-# 443 phases) in 7.3 s and 795 MB and [1,1], B=199000 (199,003 levels of
-# one phase) in 7.5 s and 256 MB
+# (196,248 phases, 883 levels of up to 443 phases) in 4.8-6.2 s and
+# 575 MB and [1,1], B=199000 (199,002 levels of one or two phases) in
+# 7.2 s and 257 MB
 DEFAULT_MAX_PHASES = 200_000
 
 

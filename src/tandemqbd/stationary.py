@@ -7,29 +7,32 @@ so they never appear). The size and density of A pick one of two solvers:
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner above
   SPARSE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
   nonzeros per row on average, at any size: its memory is O(nnz), and on
-  such lines it is faster than eliminating A by blocks from a few hundred
-  phases up (two to three times on the paper's 780-phase grid lines,
-  about eighty times at 6,765 phases). Lines of five or more servers usually
-  qualify. A line of three or fewer never does, nor does a four-server
-  line with short buffers or a longer line whose buffers are mostly zero
-  or short beside one long one. Given the phases, the system is
-  renumbered into flow order (descending, the last station's coordinate
-  most significant), which lines the Gauss-Seidel sweeps up with the flow
-  of customers and about halves the iterations that the lexicographic
-  order takes. The GMRES loop is this module's own, with scipy's stopping
-  rule: scipy's loop spent about half of each solve in Python overhead;
-- linear level reduction otherwise. A transition moves any one phase
-  coordinate by at most one, so grouping the phases by the value of one
-  coordinate makes A block tridiagonal: a level-dependent QBD inside the
-  phase space. The blocks are eliminated from the lowest level up (Gaver,
-  Jacobs & Latouche, Adv. Appl. Prob. 16, 1984), with each Schur
-  complement's diagonal rebuilt from its off-diagonal row sums (Grassmann,
-  Taksar & Heyman, Oper. Res. 33(5), 1985), and the top level is solved
-  by dense LU. At or below SPARSE_MIN_PHASES phases, or without the
-  phases, the whole of A is one level, and the solver is plain dense LU
-  with partial pivoting, the normalisation replacing the equation of the
-  highest-indexed phase. Its memory is that of the stored multipliers,
-  the sum of the products of neighbouring level sizes.
+  the denser of such lines it is faster than eliminating A by blocks (one
+  and a half times on the paper's 780-phase grid lines, about forty times
+  at 6,765 phases). Lines of five or more servers usually qualify. A line
+  of three or fewer never does, nor does a four-server line with short
+  buffers or a longer line whose buffers are mostly zero or short beside
+  one long one. Given the phases, the system is renumbered into flow
+  order (descending, the last station's coordinate most significant),
+  which lines the Gauss-Seidel sweeps up with the flow of customers and
+  about halves the iterations that the lexicographic order takes. The
+  GMRES loop is this module's own, with scipy's stopping rule: scipy's
+  loop spent about half of each solve in Python overhead;
+- linear level reduction otherwise. A transition moves the number of
+  customers downstream of the first station by at most one, so grouping
+  the phases by that headcount makes A block tridiagonal: a
+  level-dependent QBD inside the phase space. Without the phases the
+  levels are consecutive blocks of A's own order as wide as its
+  bandwidth, which no transition crosses by more than one. The blocks are
+  eliminated from the lowest level up (Gaver, Jacobs & Latouche, Adv.
+  Appl. Prob. 16, 1984), with each Schur complement's diagonal rebuilt
+  from its off-diagonal row sums (Grassmann, Taksar & Heyman, Oper. Res.
+  33(5), 1985), and the top level is solved by dense LU. Its memory is
+  that of the stored multipliers, the sum of the products of neighbouring
+  level sizes; no line above SPARSE_MIN_PHASES is densified whole. At or
+  below SPARSE_MIN_PHASES phases the whole of A is one level, and the
+  solver is plain dense LU with partial pivoting, the normalisation
+  replacing the equation of the highest-indexed phase.
 
 Every solver's answer passes the same residual and sign gate.
 
@@ -61,14 +64,14 @@ NEGATIVE_ENTRY_TOL = -1e-9
 SPARSE_MIN_PHASES = 250
 # GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
 # than this many nonzeros per row, level reduction the rest. A line of
-# three or fewer servers has at most 4. On every line tried above 4.5,
-# from [1]*7, B=0 (377 phases, 4.53) up, GMRES took 0.02-0.97 of the time
-# of a sparse LU, which level reduction is slower still on these lines
-# (6-7 ms against GMRES's 2.7 ms at 780 phases, 2.2 s against 27 ms at
-# 6,765). Below 4.4 GMRES took 1.05-7.2 times as long as sparse LU
-# ([1]*4, B=[5,5,5]: 496 phases, 4.30) or did not converge ([1]*5,
-# B=[0,0,0,300]: 6,355 phases, 4.19); between 4.4 and 4.5 it won on some
-# lines ([1]*4, B=[8,8,8]: 1,309, 4.48)
+# three or fewer servers has at most 4. Solve only, best of up to 20 on a
+# 2-vCPU host: at or below 4.5 GMRES took 1.3-56 times as long as level
+# reduction ([1]*4, B=[5,5,5]: 496 phases, 4.30, 4.5 ms against 2.5 ms)
+# or did not converge ([1]*5, B=[0,0,0,300]: 6,355 phases, 4.19). From
+# 4.8 up GMRES took 0.02-0.8 of the time (2.3 ms against 3.6 ms on the
+# 780-phase grid lines, 23 ms against 0.97 s at 6,765 phases); between
+# 4.5 and 4.7 it took 0.95-9.2 times as long ([1]*7, B=0: 377 phases,
+# 4.53, 1.4 ms each; [1]*4, B=[5,5,100]: 6,481, 4.51, 289 ms against 31)
 ITERATIVE_MIN_ROW_NNZ = 4.5
 # GMRES stops at a residual of GMRES_RTOL relative to |rhs| = 1, or after
 # GMRES_MAXITER restarts of GMRES_RESTART inner iterations each
@@ -106,18 +109,18 @@ def solve_stationary(
     A may be dense or sparse; its phase count and nonzeros per row pick the
     solver (see the module docstring). ``phases``, the (M, K) phase array
     that A's rows and columns follow, gives level reduction its levels and
-    lets GMRES sweep in flow order; without it level reduction takes A as
-    one level and GMRES sweeps in A's own order. pi comes back in A's order
-    either way. Raises ValueError when A is not square, ``phases`` has not
-    one row per phase, or a transition of A moves the level coordinate by
-    more than one; SingularSystemError when A has a non-finite entry, when
-    a factorization fails, when a level's share of pi is not positive and
-    finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
-    relative to max|A| (rank deficiency beyond the expected
-    one-dimensional null space); NumericalError when GMRES does not
-    converge; and NonPositiveSolutionError when the solution carries an
-    entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
-    Roundoff-scale negatives are clamped to zero and the vector
+    lets GMRES sweep in flow order; without it level reduction takes
+    blocks of A's bandwidth as its levels and GMRES sweeps in A's own
+    order. pi comes back in A's order either way. Raises ValueError when A
+    is not square, ``phases`` has not one row per phase, or a transition
+    of A moves the level by more than one; SingularSystemError when A has
+    a non-finite entry, when a factorization fails, when a level's share
+    of pi is not positive and finite, or when the residual is not finite
+    or exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond
+    the expected one-dimensional null space); NumericalError when GMRES
+    does not converge; and NonPositiveSolutionError when the solution
+    carries an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical
+    failure). Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
     from scipy import sparse
@@ -130,40 +133,35 @@ def solve_stationary(
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
     if n > SPARSE_MIN_PHASES:
         A = sparse.csr_matrix(A, dtype=float)
-        _require_finite(A.data)
-        if A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
-            pi, iterations = _solve_gmres(A, phases)
-            solver = "gmres-sgs"
-        else:
-            pi, iterations = _solve_levels(A, phases), 0
-            solver = "block-lu"
-        scale = float(np.max(np.abs(A.data), initial=0.0))
-        residual = float(np.max(np.abs(A.T @ pi)))
-        return _checked(pi, residual, scale, solver, iterations)
-
-    A = np.asarray(A.toarray() if sparse.issparse(A) else A, dtype=float)
-    _require_finite(A)
-    pi = _solve_levels(A)
-    scale = float(np.max(np.abs(A)))
-    residual = float(np.max(np.abs(pi @ A)))
-    return _checked(pi, residual, scale, "block-lu", 0)
-
-
-def _require_finite(values: np.ndarray) -> None:
-    """Refuse a generator with an inf or nan entry before any solver runs."""
-    if not np.isfinite(values).all():
+        entries = A.data
+    else:
+        A = np.asarray(A.toarray() if sparse.issparse(A) else A, dtype=float)
+        entries = A
+    if not np.isfinite(entries).all():
         raise SingularSystemError("generator has a non-finite entry")
+    if n <= SPARSE_MIN_PHASES:
+        pi, solver, iterations = _solve_dense(A), "block-lu", 0
+    elif A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
+        (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
+    else:
+        pi, solver, iterations = _solve_levels(A, phases), "block-lu", 0
+    scale = float(np.max(np.abs(entries), initial=0.0))
+    residual = float(np.max(np.abs(pi @ A)))
+    return _checked(pi, residual, scale, solver, iterations)
 
 
-def _solve_levels(
-    A: np.ndarray | sparse.csr_matrix, phases: np.ndarray | None = None
-) -> np.ndarray:
+def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.ndarray:
     """pi A = 0, pi e = 1 by linear level reduction; pi in A's order.
 
-    The levels are the values of the phase coordinate with the largest
-    radix, which gives the smallest blocks: the cost is about the sum of
-    the cubes of the level sizes. A transition moves that coordinate by at
-    most one, so A is block tridiagonal in it. Reducing from the bottom,
+    With ``phases`` the level of a phase is its number of customers
+    downstream of the first station, a blocking sentinel B_i + 2 counting
+    as the B_i + 1 it holds. A completion moves one customer one station,
+    perhaps into the downstream stations or out of the line, so it moves
+    that headcount by at most one. Without them the levels are consecutive
+    blocks of A's order, each as wide as A's bandwidth max|i - j| (at
+    least 1), so that no nonzero reaches past the next block. Either way A
+    is block tridiagonal in its levels, and the cost is about the sum of
+    the cubes of the level sizes. Reducing from the bottom,
     S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} = A_{l+1,l+1} +
     R_l A_{l,l+1}: S_l is the level-l block of the chain watched only on
     levels l and up, so S_l e + A_{l,l+1} e = 0. Its off-diagonal entries
@@ -175,27 +173,26 @@ def _solve_levels(
     along: the mass of a level can fall below the smallest double many
     levels down ([1]*4, B=[0,0,2000] gives NaN without it).
 
-    Without ``phases`` A is one level and this is :func:`_solve_dense`,
-    unnormalised. Raises ValueError when a transition of A moves the level
-    coordinate by more than one, and SingularSystemError when a level's
-    elimination is exactly singular or its mass is not positive and
-    finite.
+    Raises ValueError when a transition of A moves the level by more than
+    one, and SingularSystemError when a level's elimination is exactly
+    singular or its mass is not positive and finite.
     """
+    n = A.shape[0]
+    coo = A.tocoo()
+    coo.sum_duplicates()
     if phases is None:
-        return _solve_dense(A if isinstance(A, np.ndarray) else A.toarray())
-
-    n = len(phases)
-    level = phases[:, np.argmax(phases.max(axis=0))]
+        width = max(int(np.abs(coo.row - coo.col).max(initial=0)), 1)
+        level = np.arange(n) // width
+    else:
+        level = np.minimum(phases, phases.max(axis=0) - 1).sum(axis=1)
     sizes = np.bincount(level)
     starts = np.cumsum(sizes) - sizes
     order = np.argsort(level, kind="stable")  # level by level, A's order within
     local = np.empty(n, dtype=np.intp)  # each phase's position in its level
     local[order] = np.arange(n) - np.repeat(starts, sizes)
-    coo = A.tocoo()
-    coo.sum_duplicates()
     step = level[coo.col] - level[coo.row]
     if np.abs(step).max(initial=0) > 1:
-        raise ValueError("a transition moves the level coordinate by more than one")
+        raise ValueError("a transition moves the level by more than one")
     key = 3 * level[coo.row] + step + 1  # (level, step) of each entry
     by_key = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[by_key], np.arange(3 * len(sizes) + 1))

@@ -1,8 +1,10 @@
-"""Property tests on random small lines (at most 5 servers, 3,000 phases).
+"""Property tests on random lines (at most 5 servers, 3,000 phases).
 
 Examples are derandomized, so every run checks the same lines and a
 failure reproduces; ``max_examples`` keeps the module to a few seconds.
 """
+
+import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from scipy import sparse
 
 from scalar_kernel import apply_completion, eligible_completions
 from tandemqbd import (
+    TandemQueueError,
     build_blocks,
     count_phases,
     enumerate_phases,
@@ -113,3 +116,41 @@ def test_rate_does_not_fall_as_a_service_rate_grows(cfg, data):
     )
     grown = validate_config(rates, cfg.buffer_capacities)
     assert lambda_max(grown).lambda_max >= lambda_max(cfg).lambda_max - 1e-12
+
+
+def longest_buffer(head, after):
+    """The longest buffer, up to 3,000, that can follow the buffers ``head``
+    and precede ``after`` zero buffers within MAX_PHASES phases."""
+    lo, hi = 0, 3_000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if count_phases([*head, mid] + [0] * after) <= MAX_PHASES:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@st.composite
+def stiff_lines(draw):
+    """Two or three servers with rates anywhere in [1e-6, 1e6] and buffers
+    of 0 to 3,000, at most MAX_PHASES phases."""
+    count = draw(st.integers(1, 2))
+    buffers = []
+    for i in range(count):
+        buffers.append(draw(st.integers(0, longest_buffer(buffers, count - i - 1))))
+    exponents = st.floats(-6.0, 6.0)
+    rates = draw(st.lists(exponents, min_size=count + 1, max_size=count + 1))
+    return validate_config([10.0**e for e in rates], buffers)
+
+
+@property_settings(100)
+@given(stiff_lines())
+def test_every_line_gets_a_rate_or_a_package_error(cfg):
+    # any other exception is a bug: the CLI maps only TandemQueueError to
+    # an exit code
+    try:
+        rate = lambda_max(cfg).lambda_max
+    except TandemQueueError:
+        return
+    assert math.isfinite(rate) and rate > 0.0

@@ -1,5 +1,7 @@
 """Stationary solve: exactness, residuals, and the power-method oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -297,6 +299,11 @@ def test_long_last_buffer_decouples_the_last_server():
         ([1.0] * 4, [6] * 3),  # 711
         ([1.0] * 4, [8] * 3),  # 1,309, 4.48 nonzeros per row
         ([1.0] * 5, [0, 5, 0, 50]),  # 3,475, 4.49
+        # a slow last server: with one station's coordinate as the level,
+        # cancellation left a level of these with negative mass
+        ([1.0, 1.0, 0.1], [50, 50]),  # 2,808
+        ([1.0, 1.0, 1e-3], [20, 20]),  # 528
+        ([1e-3, 1e-3, 1e-6], [50, 50]),  # 2,808
     ],
 )
 def test_levels_match_lu_oracle(rates, buffers):
@@ -343,6 +350,28 @@ def test_levels_long_last_buffer():
 def test_levels_long_buffer_reversal():
     # 15,008 phases, the long buffer first or last
     assert abs(rate([1.0] * 3, [0, 5000]) - rate([1.0] * 3, [5000, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [([1.0, 1.0], [8000]), ([1.0, 30.0, 30.0], [60, 60])],  # 8,003 and 3,968 phases
+)
+def test_levels_without_phases(rates, buffers):
+    # without the phases the levels are blocks of A's bandwidth, not the
+    # whole of A as one dense level (about 1.5 GB and 0.4 GB here)
+    cfg = validate_config(rates, buffers)
+    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
+    tracemalloc.start()
+    try:
+        result = solve_stationary(phase_generator(blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.solver == "block-lu"
+    assert peak < 100e6
+    want = lambda_max(cfg).lambda_max
+    assert abs(result.pi @ down - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize(
