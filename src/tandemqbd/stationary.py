@@ -7,32 +7,29 @@ so they never appear). The size and density of A pick one of two solvers:
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner above
   SPARSE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
   nonzeros per row on average, at any size: its memory is O(nnz), and on
-  the denser of such lines it is faster than eliminating A by blocks (one
-  and a half times on the paper's 780-phase grid lines, about forty times
-  at 6,765 phases). Lines of five or more servers usually qualify. A line
-  of three or fewer never does, nor does a four-server line with short
-  buffers or a longer line whose buffers are mostly zero or short beside
-  one long one. Given the phases, the system is renumbered into flow
-  order (descending, the last station's coordinate most significant),
-  which lines the Gauss-Seidel sweeps up with the flow of customers and
-  about halves the iterations that the lexicographic order takes. The
-  GMRES loop is this module's own, with scipy's stopping rule: scipy's
-  loop spent about half of each solve in Python overhead;
-- linear level reduction otherwise. A transition moves the number of
-  customers downstream of the first station by at most one, so grouping
-  the phases by that headcount makes A block tridiagonal: a
-  level-dependent QBD inside the phase space. Without the phases the
-  levels are consecutive blocks of A's own order as wide as its
-  bandwidth, which no transition crosses by more than one. The blocks are
-  eliminated from the lowest level up (Gaver, Jacobs & Latouche, Adv.
-  Appl. Prob. 16, 1984), with each Schur complement's diagonal rebuilt
-  from its off-diagonal row sums (Grassmann, Taksar & Heyman, Oper. Res.
-  33(5), 1985), and the top level is solved by dense LU. Its memory is
-  that of the stored multipliers, the sum of the products of neighbouring
-  level sizes; no line above SPARSE_MIN_PHASES is densified whole. At or
-  below SPARSE_MIN_PHASES phases the whole of A is one level, and the
-  solver is plain dense LU with partial pivoting, the normalisation
-  replacing the equation of the highest-indexed phase.
+  such lines, mostly of five or more servers, it is faster than
+  eliminating A by levels (one and a half times on the paper's 780-phase
+  grid lines, about forty times at 6,765 phases). Given the phases, the
+  system is renumbered into flow order (descending, the last station's
+  coordinate most significant), which lines the Gauss-Seidel sweeps up
+  with the flow of customers and about halves the iterations that the
+  lexicographic order takes. The GMRES loop is this module's own, with
+  scipy's stopping rule: scipy's loop spent about half of each solve in
+  Python overhead;
+- linear level reduction otherwise, of which dense LU is the one-level
+  case. A transition moves the number of customers downstream of the
+  first station by at most one, so grouping the phases by that headcount
+  makes A block tridiagonal: a level-dependent QBD inside the phase
+  space. Without the phases the levels are consecutive blocks of A's own
+  order as wide as its bandwidth. At or below SPARSE_MIN_PHASES phases
+  the whole of A is one level. The blocks are eliminated from the lowest
+  level up (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984), each
+  Schur complement's diagonal rebuilt from its off-diagonal row sums
+  (Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), and the top level
+  is solved by dense LU with partial pivoting, the normalisation replacing
+  the equation of its highest-indexed phase. Its memory is that of the
+  stored multipliers, the sum of the products of neighbouring level
+  sizes; no line above SPARSE_MIN_PHASES is densified whole.
 
 Every solver's answer passes the same residual and sign gate.
 
@@ -59,8 +56,8 @@ if TYPE_CHECKING:
 RESIDUAL_RTOL = 1e-10
 # entries at or below this are treated as genuinely negative, not roundoff
 NEGATIVE_ENTRY_TOL = -1e-9
-# lines with more phases than this may go to GMRES, and are reduced by
-# levels when they do not
+# a line of at most this many phases is one level, solved by dense LU, and
+# never goes to GMRES
 SPARSE_MIN_PHASES = 250
 # GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
 # than this many nonzeros per row, level reduction the rest. A line of
@@ -86,7 +83,8 @@ class StationaryVector:
 
     ``pi`` sums to one; ``residual`` is the max-norm of pi A achieved by
     the returned (pre-clamping) solution. ``solver`` is ``"block-lu"``
-    (level reduction, dense LU on one level) or ``"gmres-sgs"``;
+    (level reduction, of which dense LU is the one-level case) or
+    ``"gmres-sgs"``;
     ``iterations`` counts GMRES inner iterations and is 0 for block-lu.
     """
 
@@ -106,21 +104,22 @@ def solve_stationary(
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
-    A may be dense or sparse; its phase count and nonzeros per row pick the
-    solver (see the module docstring). ``phases``, the (M, K) phase array
-    that A's rows and columns follow, gives level reduction its levels and
-    lets GMRES sweep in flow order; without it level reduction takes
-    blocks of A's bandwidth as its levels and GMRES sweeps in A's own
-    order. pi comes back in A's order either way. Raises ValueError when A
-    is not square, ``phases`` has not one row per phase, or a transition
-    of A moves the level by more than one; SingularSystemError when A has
-    a non-finite entry, when a factorization fails, when a level's share
-    of pi is not positive and finite, or when the residual is not finite
-    or exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond
-    the expected one-dimensional null space); NumericalError when GMRES
-    does not converge; and NonPositiveSolutionError when the solution
-    carries an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical
-    failure). Roundoff-scale negatives are clamped to zero and the vector
+    A may be dense or sparse and is read as CSR; its phase count and
+    nonzeros per row pick the solver (see the module docstring). ``phases``,
+    the (M, K) phase array that A's rows and columns follow, gives level
+    reduction its levels above SPARSE_MIN_PHASES and lets GMRES sweep in
+    flow order; without it level reduction takes blocks of A's bandwidth as
+    its levels and GMRES sweeps in A's own order. pi comes back in A's
+    order either way. Raises ValueError when A is not square, ``phases``
+    has not one row per phase, or a transition of A moves the level by
+    more than one; SingularSystemError when A has a non-finite entry, when
+    a factorization fails, when a level's share of pi is not positive and
+    finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
+    relative to max|A| (rank deficiency beyond the expected
+    one-dimensional null space); NumericalError when GMRES does not
+    converge; and NonPositiveSolutionError when the solution carries an
+    entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
+    Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
     from scipy import sparse
@@ -131,118 +130,130 @@ def solve_stationary(
         raise ValueError("generator must be square")
     if phases is not None and len(phases) != n:
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
-    if n > SPARSE_MIN_PHASES:
+    if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
         A = sparse.csr_matrix(A, dtype=float)
-        entries = A.data
-    else:
-        A = np.asarray(A.toarray() if sparse.issparse(A) else A, dtype=float)
-        entries = A
-    if not np.isfinite(entries).all():
+    scale = float(np.abs(A.data).max(initial=0.0))
+    if not math.isfinite(scale):
         raise SingularSystemError("generator has a non-finite entry")
-    if n <= SPARSE_MIN_PHASES:
-        pi, solver, iterations = _solve_dense(A), "block-lu", 0
-    elif A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
+    if n > SPARSE_MIN_PHASES and A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
         (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
     else:
         pi, solver, iterations = _solve_levels(A, phases), "block-lu", 0
-    scale = float(np.max(np.abs(entries), initial=0.0))
-    residual = float(np.max(np.abs(pi @ A)))
-    return _checked(pi, residual, scale, solver, iterations)
+    indptr = A.indptr
+    flow = np.bincount(A.indices, pi.repeat(indptr[1:] - indptr[:-1]) * A.data, minlength=n)
+    residual = float(abs(flow).max())
+    if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
+        raise SingularSystemError(
+            f"stationary residual {residual:.3e} is not within {RESIDUAL_RTOL:.0e} "
+            f"of max|A| = {scale:.3e}"
+        )
+    if pi.min() < NEGATIVE_ENTRY_TOL:
+        raise NonPositiveSolutionError(
+            f"stationary vector has entry {pi.min():.3e} < {NEGATIVE_ENTRY_TOL:.0e}"
+        )
+    pi = np.where(pi < 0.0, 0.0, pi)
+    pi /= pi.sum()
+    return StationaryVector(pi=pi, residual=residual, solver=solver, iterations=iterations)
 
 
 def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.ndarray:
     """pi A = 0, pi e = 1 by linear level reduction; pi in A's order.
 
-    With ``phases`` the level of a phase is its number of customers
-    downstream of the first station, a blocking sentinel B_i + 2 counting
-    as the B_i + 1 it holds. A completion moves one customer one station,
-    perhaps into the downstream stations or out of the line, so it moves
-    that headcount by at most one. Without them the levels are consecutive
+    At or below SPARSE_MIN_PHASES phases A is one level. Above, with
+    ``phases`` the level of a phase is its number of customers downstream
+    of the first station, a blocking sentinel B_i + 2 counting as the
+    B_i + 1 it holds. A completion moves one customer one station, perhaps
+    into the downstream stations or out of the line, so it moves that
+    headcount by at most one. Without them the levels are consecutive
     blocks of A's order, each as wide as A's bandwidth max|i - j| (at
     least 1), so that no nonzero reaches past the next block. Either way A
     is block tridiagonal in its levels, and the cost is about the sum of
-    the cubes of the level sizes. Reducing from the bottom,
-    S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} = A_{l+1,l+1} +
-    R_l A_{l,l+1}: S_l is the level-l block of the chain watched only on
-    levels l and up, so S_l e + A_{l,l+1} e = 0. Its off-diagonal entries
-    are sums of non-negative terms, and its diagonal is reset to minus
-    their row sum and the row sum of A_{l,l+1} (the GTH rule), which keeps
-    each row's balance free of cancellation. The top level is solved by
-    :func:`_solve_dense` and the rest back-substituted, pi_l = pi_{l+1}
-    R_l, each level normalised as it comes with its log scale carried
-    along: the mass of a level can fall below the smallest double many
-    levels down ([1]*4, B=[0,0,2000] gives NaN without it).
+    the cubes of the level sizes. Each level's rows are scattered from A's
+    CSR arrays into one dense band, duplicates summed. Reducing from the
+    bottom, S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} =
+    A_{l+1,l+1} + R_l A_{l,l+1}: S_l is the level-l block of the chain
+    watched only on levels l and up, so S_l e + A_{l,l+1} e = 0. Its
+    off-diagonal entries are sums of non-negative terms, and its diagonal
+    is reset to minus their row sum and the row sum of A_{l,l+1} (the GTH
+    rule), which keeps each row's balance free of cancellation. The top
+    level, on one level the whole of A, is solved by :func:`_solve_dense`
+    and the rest back-substituted, pi_l = pi_{l+1} R_l, each level
+    normalised as it comes with its log scale carried along: the mass of a
+    level can fall below the smallest double many levels down ([1]*4,
+    B=[0,0,2000] gives NaN without it).
 
     Raises ValueError when a transition of A moves the level by more than
     one, and SingularSystemError when a level's elimination is exactly
     singular or its mass is not positive and finite.
     """
     n = A.shape[0]
-    coo = A.tocoo()
-    coo.sum_duplicates()
-    if phases is None:
-        width = max(int(np.abs(coo.row - coo.col).max(initial=0)), 1)
-        level = np.arange(n) // width
+    indptr, cols, rates = A.indptr, A.indices, A.data
+    rows = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+    if n <= SPARSE_MIN_PHASES:
+        level = np.zeros(n, dtype=np.intp)
+    elif phases is None:
+        level = np.arange(n) // max(int(abs(rows - cols).max(initial=0)), 1)
     else:
         level = np.minimum(phases, phases.max(axis=0) - 1).sum(axis=1)
+        if abs(level[cols] - level[rows]).max(initial=0) > 1:
+            raise ValueError("a transition moves the level by more than one")
+    # in level order, level l spans edges[l + 1] to edges[l + 2], its band edges[l] to edges[l + 3]
     sizes = np.bincount(level)
-    starts = np.cumsum(sizes) - sizes
-    order = np.argsort(level, kind="stable")  # level by level, A's order within
-    local = np.empty(n, dtype=np.intp)  # each phase's position in its level
-    local[order] = np.arange(n) - np.repeat(starts, sizes)
-    step = level[coo.col] - level[coo.row]
-    if np.abs(step).max(initial=0) > 1:
-        raise ValueError("a transition moves the level by more than one")
-    key = 3 * level[coo.row] + step + 1  # (level, step) of each entry
-    by_key = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[by_key], np.arange(3 * len(sizes) + 1))
-    rows, cols, rates = local[coo.row][by_key], local[coo.col][by_key], coo.data[by_key]
-    up = step == 1
-    up_sums = np.bincount(coo.row[up], coo.data[up], minlength=n)[order]
+    edges = np.concatenate(([0, 0], np.add.accumulate(sizes), [n]))
+    starts, first, widths = edges[1:-2], edges[:-3], edges[3:] - edges[:-3]
+    order = level.argsort(kind="stable")  # level by level, A's order within
+    rank = np.empty(n, dtype=np.intp)  # each phase's position in that order
+    rank[order] = np.arange(n)
+    offset = (rank - starts[level]) * widths[level] - first[level]
+    row_level = level[rows]
+    by_level = row_level.argsort(kind="stable")
+    flat, rates = (offset[rows] + rank[cols])[by_level], rates[by_level]
+    bounds = [0, *np.add.accumulate(np.bincount(row_level, minlength=len(sizes))).tolist()]
+    sizes, widths, below = sizes.tolist(), widths.tolist(), (starts - first).tolist()
 
-    def block(l: int, offset: int) -> np.ndarray:
-        """A_{l,l+offset} as a dense array."""
-        at = slice(bounds[3 * l + offset + 1], bounds[3 * l + offset + 2])
-        out = np.zeros((sizes[l], sizes[l + offset]))
-        out[rows[at], cols[at]] = rates[at]
-        return out
+    def band(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A_{l,l-1}, A_{l,l}, A_{l,l+1}) as views of one dense band."""
+        at = slice(bounds[l], bounds[l + 1])
+        s, w, b = sizes[l], widths[l], below[l]
+        out = np.bincount(flat[at], rates[at], minlength=s * w).reshape(s, w)
+        return out[:, :b], out[:, b : b + s], out[:, b + s :]
 
-    S, multipliers = block(0, 0), []
+    (_, S, up), multipliers = band(0), []
     for l in range(1, len(sizes)):
+        down, same, next_up = band(l)
         try:
-            R = np.linalg.solve(-S.T, block(l, -1).T).T
+            R = np.linalg.solve(-S.T, down.T).T
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"stationary system is singular at level {l - 1}: {exc}"
             ) from exc
-        S = block(l, 0) + R @ block(l - 1, 1)
+        S, up = same + R @ up, next_up
         np.fill_diagonal(S, 0.0)
-        np.fill_diagonal(S, -(S.sum(axis=1) + up_sums[starts[l] : starts[l] + sizes[l]]))
+        np.fill_diagonal(S, -(S.sum(axis=1) + up.sum(axis=1)))
         multipliers.append(R)
 
-    x, levels, log_scales, log_scale = _solve_dense(S), [], [], 0.0
-    for R in [None, *reversed(multipliers)]:
-        if R is not None:
-            x = levels[-1] @ R
-        mass = float(np.sum(x))
+    parts, log_scales = [_solve_dense(S)], [0.0]  # the top level, pi e = 1 on it
+    for R in reversed(multipliers):
+        x = parts[-1] @ R
+        mass = float(x.sum())
         if not 0.0 < mass < math.inf:
             raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
-        log_scale += math.log(mass)
-        levels.append(x / mass)
-        log_scales.append(log_scale)
-    weights = np.exp(np.array(log_scales) - max(log_scales))
+        parts.append(x / mass)
+        log_scales.append(log_scales[-1] + math.log(mass))
+    top = max(log_scales)
+    weights = [math.exp(s - top) for s in log_scales]
+    total = sum(weights)
     pi = np.empty(n)
-    pi[order] = np.concatenate([part * w for part, w in zip(levels[::-1], weights[::-1])])
-    return pi / pi.sum()
+    pi[order] = np.concatenate([p * (w / total) for p, w in zip(parts[::-1], weights[::-1])])
+    return pi
 
 
 def _solve_dense(A: np.ndarray) -> np.ndarray:
     """A^T with its last row replaced by ones, solved by dense LU: pi A = 0
     but for the highest-indexed phase's equation, and pi e = 1."""
-    n = len(A)
     system = A.T.copy()
     system[-1, :] = 1.0
-    rhs = np.zeros(n)
+    rhs = np.zeros(len(A))
     rhs[-1] = 1.0
     try:
         return np.linalg.solve(system, rhs)
@@ -435,21 +446,3 @@ def _gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:
             f"inner iterations, wanted {GMRES_RTOL:.0e}"
         )
     return x, iterations
-
-
-def _checked(
-    pi: np.ndarray, residual: float, scale: float, solver: str, iterations: int
-) -> StationaryVector:
-    """Gate a solution on its residual and sign, then clamp and renormalize."""
-    if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
-        raise SingularSystemError(
-            f"stationary residual {residual:.3e} is not within {RESIDUAL_RTOL:.0e} "
-            f"of max|A| = {scale:.3e}"
-        )
-    if np.min(pi) < NEGATIVE_ENTRY_TOL:
-        raise NonPositiveSolutionError(
-            f"stationary vector has entry {np.min(pi):.3e} < {NEGATIVE_ENTRY_TOL:.0e}"
-        )
-    pi = np.where(pi < 0.0, 0.0, pi)
-    pi /= pi.sum()
-    return StationaryVector(pi=pi, residual=residual, solver=solver, iterations=iterations)

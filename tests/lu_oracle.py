@@ -2,10 +2,10 @@
 
 Until the level reduction replaced it, this was the package's solver for
 lines above 250 phases with at most 4.5 nonzeros per row. It solves the
-same normalised system as the dense branch of
-``tandemqbd.stationary.solve_stationary`` from a sparse factor, so a test
-can check both of the package's solvers against an independent
-factorisation well above the sizes where dense LU is affordable.
+same normalised system that ``tandemqbd.stationary._solve_dense`` solves
+on a line of one level, from a sparse factor, so a test can check both of
+the package's solvers against an independent factorisation well above
+the sizes where dense LU is affordable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from tandemqbd import SingularSystemError
 
 
 def sparse_lu(A: sparse.csr_matrix) -> np.ndarray:
-    """The dense branch's system, A^T with its last row replaced by ones,
+    """The one-level system, A^T with its last row replaced by ones,
     factored by SuperLU.
 
     Minimum-degree ordering on the pattern of system + system^T, with

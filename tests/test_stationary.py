@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from gmres_oracle import scipy_gmres
+from gth_oracle import gth
 from lu_oracle import sparse_lu
 from tandemqbd import (
     NonPositiveSolutionError,
@@ -375,8 +376,64 @@ def test_levels_without_phases(rates, buffers):
 
 
 @pytest.mark.parametrize(
+    "rates,buffers,num_phases",
+    [
+        ([1.5314603117327834e-06, 0.06434238954645739, 250.36188433577004, 607313.637727663],
+         [2, 0, 3], 79),
+        ([0.0003926248954085768, 47.95471986564687, 0.001772867672267385, 524.2966051333192,
+          42297.615275756936], [0, 0, 0, 3], 118),
+        ([1.2147045521836355e-06, 0.0004960843181690926, 631.952398796647, 35204.82516656103],
+         [3, 0, 10], 215),
+    ],
+)
+def test_one_level_stiff_lines_match_gth(rates, buffers, num_phases):
+    # at or below SPARSE_MIN_PHASES the whole generator is one level: on
+    # these stiff lines that is within 5e-16 of GTH, where the headcount
+    # levels leave a level of pi with negative mass and raise
+    cfg = validate_config(rates, buffers)
+    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
+    want = gth(phase_generator(blocks)) @ down
+    report = lambda_max(cfg)
+    assert report.num_phases == num_phases <= SPARSE_MIN_PHASES
+    assert report.solver == "block-lu"
+    assert abs(report.lambda_max - want) <= 1e-12 * want
+
+
+def test_one_input_form():
+    # a dense array, a canonical CSR, a CSR with one entry split into two
+    # duplicates and a shuffled COO are read as the same CSR: the same pi to
+    # the bit, and the caller's arrays are left as they were
+    A = generator_for([0.8, 1.0, 1.3], [1, 2])
+    canonical = sparse.csr_matrix(A)
+    k = canonical.indptr[2]  # the first entry of row 2, in two exact halves
+    data = np.insert(canonical.data, k, canonical.data[k] / 2)
+    data[k + 1] /= 2
+    indptr = canonical.indptr + (np.arange(len(A) + 1) > 2)
+    split = sparse.csr_matrix((data, np.insert(canonical.indices, k, canonical.indices[k]), indptr))
+    coo = canonical.tocoo()
+    shuffle = np.random.default_rng(7).permutation(coo.nnz)
+    coo = sparse.coo_matrix((coo.data[shuffle], (coo.row[shuffle], coo.col[shuffle])), A.shape)
+    assert split.nnz == canonical.nnz + 1 and not split.has_canonical_format
+
+    def contents(form):
+        names = ("data", "indices", "indptr", "row", "col")
+        if isinstance(form, np.ndarray):
+            return [form.copy()]
+        return [getattr(form, name).copy() for name in names if hasattr(form, name)]
+
+    forms = [A, canonical, split, coo]
+    before = [contents(form) for form in forms]
+    pis = [solve_stationary(form).pi for form in forms]
+    assert all(pi.tobytes() == pis[0].tobytes() for pi in pis)
+    for form, arrays in zip(forms, before):
+        for was, now in zip(arrays, contents(form), strict=True):
+            np.testing.assert_array_equal(now, was)
+
+
+@pytest.mark.parametrize(
     "rates,buffers",
-    [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # dense and GMRES branch
+    [([1e308] * 3, [0, 0]), ([1e308] * 7, [1] * 6)],  # one level and GMRES
 )
 def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
     # the exit rates overflow to inf; the generator is refused before any
@@ -411,7 +468,7 @@ def test_disconnected_generator_is_singular():
 
 
 def test_disconnected_sparse_generator_is_singular():
-    # two rings, together above SPARSE_MIN_PHASES: the sparse branch runs
+    # two rings, together above SPARSE_MIN_PHASES: levels of A's bandwidth
     h = SPARSE_MIN_PHASES // 2 + 1
     ring = sparse.eye(h, k=1) + sparse.eye(h, k=1 - h) - sparse.eye(h)
     A = sparse.block_diag([ring, 2.0 * ring], format="csr")
