@@ -9,6 +9,7 @@ CSV or JSON table), ``simulate`` (simulated cross-check, JSON), and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -114,6 +115,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     server_counts = _parse_server_counts(args.servers)
     mu0_values = _parse_float_list(args.mu0)
+    if not mu0_values:
+        raise InputError(f"expected at least one first-server rate: {args.mu0!r}")
     mu_rest = args.mu_rest
     capacity = args.buffer
     rows = []
@@ -230,9 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parsing leaves no state on the parser: main builds it once per process
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -14,8 +14,9 @@ ones that lower it by one. Arrivals would contribute a diagonal block
 computation done here, so no arrival rate is ever stored.
 
 :func:`build_blocks` applies the completion rule to the whole phase array
-at once. A phase-by-phase version of the same rule lives with the tests
-(``tests/scalar_kernel.py``), which require the two to agree.
+at once and writes each block's CSR arrays directly, without a COO
+intermediate. A phase-by-phase version of the same rule lives with the
+tests (``tests/scalar_kernel.py``), which require the two to agree.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
 
     The completion rule runs on all (phase, eligible server) pairs at once,
     its release cascade as at most K masked passes toward the front. Exit
-    rates are summed in server order and the CSR matrices are canonical,
-    so the blocks are identical across runs.
+    rates are summed in server order. Each block is built from its CSR
+    arrays: the entries grouped by row with a stable sort, ``indptr`` from
+    the row counts, the columns put in order by ``sort_indices``. No
+    completion keeps its phase and no two reach the same one, so no
+    (row, col) pair repeats: the blocks are canonical CSR, identical across
+    runs.
     """
     from scipy import sparse  # here, not above: simulate and phases never load it
 
@@ -94,11 +99,15 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     rates = np.concatenate([rates, -exit_rate])
     # a cascade still releasing has reached station 0: the level drops
     down = np.concatenate([releasing, np.zeros(n, dtype=bool)])
-    level_same, level_down = (
-        sparse.csr_matrix((rates[m], (rows[m], cols[m])), shape=(n, n))
-        for m in (~down, down)
-    )
-    return QbdBlocks(level_same, level_down, num_phases=n)
+    # row-major entries, then the diagonal: the stable sort merges two runs
+    order = np.argsort(rows, kind="stable")
+    in_down = down[order]
+    blocks = []
+    for at in (order[~in_down], order[in_down]):
+        indptr = np.append(0, np.cumsum(np.bincount(rows[at], minlength=n)))
+        blocks.append(sparse.csr_matrix((rates[at], cols[at], indptr), shape=(n, n)))
+        blocks[-1].sort_indices()
+    return QbdBlocks(*blocks, num_phases=n)
 
 
 def triplet_lines(matrix: sparse.csr_matrix) -> list[str]:

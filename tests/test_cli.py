@@ -218,6 +218,15 @@ def test_sweep_rejects_bad_server_counts(capsys, servers):
     assert "server count" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mu0", [",", ""])
+def test_sweep_rejects_empty_mu0(capsys, fmt, mu0):
+    code, out, err = run(capsys, "sweep", "--servers", "3", "--mu0", mu0, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "first-server rate" in err
+
+
 def test_sweep_json_and_full_precision(capsys):
     code, out, _ = run(
         capsys, "sweep", "--servers", "3", "--mu0", "1.0", "--format", "json",
@@ -237,6 +246,54 @@ def test_sweep_output_is_deterministic(capsys):
     first = run(capsys, *args)[1]
     second = run(capsys, *args)[1]
     assert first == second
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "phases", "--k", "1")
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        assert run(capsys, "phases", "--k", "2")[0] == 0
+    assert built == []
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_no_state_leaks_between_calls(capsys):
+    line = ("analyze", "--mu", "1,1", "--buffers", "2")
+    code, out, _ = run(capsys, *line, "--dump-pi")
+    assert code == 0 and "pi" in json.loads(out)
+    code, out, _ = run(capsys, *line)
+    assert code == 0 and "pi" not in json.loads(out)
+
+
+def test_parse_error_leaves_next_call_unchanged(capsys):
+    line = ("sweep", "--servers", "3..4", "--mu0", "0.8,1.25", "--buffer", "1",
+            "--precision", "full")
+    first = run(capsys, *line)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--servers", "3", "--mu0", "1", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, *line) == first
+
+
+def test_dump_blocks_are_pinned(capsys):
+    # both dumps as the COO-built blocks printed them, byte for byte
+    err = ""
+    for rates, buffers in (("0.8,1,1", "1"), ("0.7,0.83,0.96,1.09", "0,3,1")):
+        code, _, dumped = run(
+            capsys, "analyze", "--mu", rates, "--buffers", buffers, "--dump-blocks"
+        )
+        assert code == 0
+        err += dumped
+    golden = Path(__file__).with_name("dump_blocks_golden.txt")
+    assert err.encode() == golden.read_bytes()
 
 
 def test_simulate_json_and_determinism(capsys):

@@ -121,6 +121,9 @@ def test_blocks_match_scalar_kernel(buffers):
     blocks = build_blocks(cfg, space)
     np.testing.assert_array_equal(blocks.level_same.toarray(), want_same)
     np.testing.assert_array_equal(blocks.level_down.toarray(), want_down)
+    for block in (blocks.level_same, blocks.level_down):
+        assert block.has_canonical_format
+        assert block.indices.dtype == block.indptr.dtype == np.int32
 
 
 @pytest.mark.parametrize("buffers", all_small_lines())
