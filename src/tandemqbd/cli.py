@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NegativeBufferError, NumericalError
 from .generator import triplet_lines
 from .model import TandemConfig, load_config_file, validate_config
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
@@ -25,20 +25,13 @@ SWEEP_HEADER = "servers,buffer_capacity,mu0,mu_rest,M,lambda_max"
 MAX_STATES_HELP = "phase-count cap (default %(default)s)"
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_list(text: str, convert: type, noun: str) -> list:
+    """A comma-separated list of ``convert`` values; ``noun`` names them in errors."""
     items = [piece.strip() for piece in text.split(",")]
     try:
-        return [float(piece) for piece in items if piece != ""]
+        return [convert(piece) for piece in items if piece != ""]
     except ValueError:
-        raise InputError(f"expected a comma-separated list of numbers: {text!r}")
-
-
-def _parse_int_list(text: str) -> list[int]:
-    items = [piece.strip() for piece in text.split(",")]
-    try:
-        return [int(piece) for piece in items if piece != ""]
-    except ValueError:
-        raise InputError(f"expected a comma-separated list of integers: {text!r}")
+        raise InputError(f"expected a comma-separated list of {noun}: {text!r}")
 
 
 def _parse_server_counts(text: str) -> list[int]:
@@ -51,7 +44,7 @@ def _parse_server_counts(text: str) -> list[int]:
             raise InputError(f"expected a server range like 3..6: {text!r}")
         counts = list(range(lo, hi + 1))
     else:
-        counts = _parse_int_list(text)
+        counts = _parse_list(text, int, "integers")
     if not counts or min(counts) < 1:
         raise InputError(f"expected at least one server count, each 1 or more: {text!r}")
     return counts
@@ -64,8 +57,8 @@ def _config_from_args(args: argparse.Namespace) -> TandemConfig:
         return load_config_file(args.config)
     if args.mu is None:
         raise InputError("either --mu or --config is required")
-    rates = _parse_float_list(args.mu)
-    buffers = _parse_int_list(args.buffers) if args.buffers is not None else []
+    rates = _parse_list(args.mu, float, "numbers")
+    buffers = [] if args.buffers is None else _parse_list(args.buffers, int, "integers")
     # homogeneous shorthand: one capacity stands for every interior buffer
     if len(buffers) == 1 and len(rates) > 2:
         buffers = buffers * (len(rates) - 1)
@@ -114,11 +107,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     server_counts = _parse_server_counts(args.servers)
-    mu0_values = _parse_float_list(args.mu0)
+    mu0_values = _parse_list(args.mu0, float, "numbers")
     if not mu0_values:
         raise InputError(f"expected at least one first-server rate: {args.mu0!r}")
     mu_rest = args.mu_rest
     capacity = args.buffer
+    # checked here, not per line: a one-server line has no buffer to check
+    if capacity < 0:
+        raise NegativeBufferError(f"--buffer must be non-negative, got {capacity}")
     rows = []
     for servers in server_counts:
         for mu0 in mu0_values:
@@ -170,6 +166,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_phases(args: argparse.Namespace) -> int:
     if args.k < 0:
         raise InputError("--k must be non-negative")
+    if args.buffer < 0:
+        raise NegativeBufferError(f"--buffer must be non-negative, got {args.buffer}")
     config = validate_config([1.0] * (args.k + 1), [args.buffer] * args.k)
     space = enumerate_phases(config, max_phases=args.max_states)
     print(space.num_phases)

@@ -14,9 +14,11 @@ ones that lower it by one. Arrivals would contribute a diagonal block
 computation done here, so no arrival rate is ever stored.
 
 :func:`build_blocks` applies the completion rule to the whole phase array
-at once and writes each block's CSR arrays directly, without a COO
-intermediate. A phase-by-phase version of the same rule lives with the
-tests (``tests/scalar_kernel.py``), which require the two to agree.
+at once, finds each target's position by stepping the source's
+lexicographic rank (:func:`~tandemqbd.phases.rank_weights`), and writes
+each block's CSR arrays directly, without a COO intermediate. A
+phase-by-phase version of the same rule lives with the tests
+(``tests/scalar_kernel.py``), which require the two to agree.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import TandemConfig
-from .phases import PhaseSpace, place_values
+from .phases import PhaseSpace, rank_weights
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -69,16 +71,18 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     has_customer = np.hstack([always, phases != 0])  # column i: station i
     unblocked = np.hstack([phases != caps + 2, always])  # column i: server i
     rows, servers = np.nonzero(has_customer & unblocked)  # row-major order
-    # each target is tracked by its code: a coordinate that rises or falls
-    # by one moves the code by that coordinate's place value
-    place = place_values(caps)
-    codes = space.codes[rows]  # fancy indexing copies
+    # each target is tracked by its position, starting at the source's row:
+    # coordinate i stepping between 0 and 1 moves it by rank_weights'
+    # first[i + 1], any other step by one moves it by rest[i + 1]
+    from_zero, step = (np.array(w[1:], dtype=np.int64) for w in rank_weights(caps))
+    cols = rows.copy()
     releasing = np.ones(len(rows), dtype=bool)
     moving = np.flatnonzero(servers < k)
     at = servers[moving]
     # a move (if room) releases station i, a block does not; both raise coordinate i
-    releasing[moving] = phases[rows[moving], at] <= caps[at]
-    codes[moving] += place[at]
+    was = phases[rows[moving], at]
+    releasing[moving] = was <= caps[at]
+    cols[moving] += np.where(was == 0, from_zero[at], step[at])
     station = servers.copy()  # the station that lost a customer
     for _ in range(k):
         # its coordinate drops by one: a count falls, or a sentinel turns
@@ -87,10 +91,10 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
         # below the raised one, so phases still holds their values
         live = np.flatnonzero(releasing & (station > 0))
         j = station[live] - 1  # coordinate of station j + 1
-        releasing[live] = phases[rows[live], j] == caps[j] + 2
-        codes[live] -= place[j]
+        was = phases[rows[live], j]
+        releasing[live] = was == caps[j] + 2
+        cols[live] -= np.where(was == 1, from_zero[j], step[j])
         station[live] = j
-    cols = space.locate(codes)
     rates = np.asarray(config.service_rates)[servers]
     exit_rate = np.bincount(rows, weights=rates, minlength=n)
     # the diagonal, in the level-preserving block, balances the row sums

@@ -79,7 +79,7 @@ def validate_config(
         )
     for i, b in enumerate(buffers):
         if b < 0:
-            raise NegativeBufferError(f"buffer capacity {i} is negative: {b}")
+            raise NegativeBufferError(f"buffer {i} has negative capacity {b}")
     return TandemConfig(service_rates=rates, buffer_capacities=buffers)
 
 

@@ -8,14 +8,15 @@ station after it carries the blocking sentinel, which couples adjacent
 coordinates and makes the count grow slower than the raw product.
 
 A phase space is one (M, K) integer array, a phase per row, in ascending
-lexicographic order, which is also the order of the rows' mixed-radix
-codes: a binary search over the codes finds the position of any row.
+lexicographic order. A phase's position in that order is a sum of one term
+per coordinate, with weights from the recurrence that counts the phases
+(:func:`rank_weights`), so no lookup table is needed to find a row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,38 +39,33 @@ from .model import TandemConfig
 DEFAULT_MAX_PHASES = 200_000
 
 
-def place_values(caps: Sequence[int]) -> np.ndarray:
-    """Place value of each coordinate in a phase's mixed-radix code.
+def rank_weights(caps: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Weights of the lexicographic rank of a phase, as Python ints.
 
-    Digit i is m_i, with radix B_i + 3, so its place value is the product
-    of the radices after it.
+    ``first[i]`` counts the valid tails (m_i, ..., m_{K-1}) that follow an
+    empty station i - 1, where the sentinel at i is barred; ``rest[i]``
+    counts those that follow an occupied one. Both are 1 for the empty tail
+    (i = K), and ``rest[0]`` is the phase count (station 0 is never empty).
+    Every value below m_i is a non-sentinel, valid whatever precedes it, so
+    the phases before m number sum_i [m_i >= 1] first[i+1]
+    + max(m_i - 1, 0) rest[i+1].
     """
-    place = np.ones(len(caps), dtype=np.int64)
-    for i in range(len(caps) - 1, 0, -1):
-        place[i - 1] = place[i] * (caps[i] + 3)
-    return place
-
-
-def _codes(rows: np.ndarray, caps: Sequence[int]) -> np.ndarray:
-    """Mixed-radix codes of phase rows (see :func:`place_values`).
-
-    Codes stay below the product of the radices, which is at most M**1.59
-    for M phases, so they fit in int64 whenever the rows fit in memory.
-    """
-    return rows @ place_values(caps)
+    first, rest = [1], [1]
+    for b in reversed(caps):
+        first.append(first[-1] + (b + 1) * rest[-1])
+        rest.append(first[-1] + rest[-1])
+    return first[::-1], rest[::-1]
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpace:
     """All valid phases of a line, one per row, in lexicographic order.
 
-    ``codes[r]`` is the code of ``phases[r]`` and increases with r. Both
-    arrays are read-only, so a space is safe for concurrent reads.
+    ``phases`` is read-only, so a space is safe for concurrent reads.
     """
 
     config: TandemConfig
     phases: np.ndarray
-    codes: np.ndarray = field(repr=False)
 
     @property
     def num_phases(self) -> int:
@@ -84,43 +80,23 @@ class PhaseSpace:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.shape[-1:] != (len(caps),):
             raise InvalidPhaseError(f"a phase has {len(caps)} values: {rows.shape}")
-        in_range = ((rows >= 0) & (rows <= np.asarray(caps) + 2)).all(axis=-1)
-        pos, found = self._search(_codes(rows, caps))
-        found = in_range & found
-        if not found.all():
-            bad = rows.reshape(-1, len(caps))[~found.ravel()][0]
+        sentinel = np.asarray(caps, dtype=np.int64) + 2
+        valid = ((rows >= 0) & (rows <= sentinel)).all(axis=-1)
+        # no station may be empty while the one after it blocks
+        valid &= ~((rows[..., :-1] == 0) & (rows[..., 1:] == sentinel[1:])).any(axis=-1)
+        if not valid.all():
+            bad = rows.reshape(-1, len(caps))[~valid.ravel()][0]
             raise InvalidPhaseError(f"{tuple(bad.tolist())} is not a phase of the line")
-        return pos
-
-    def locate(self, codes: np.ndarray) -> np.ndarray:
-        """Position of the phase with each of these codes.
-
-        Raises InvalidPhaseError if any code is not that of a phase of this
-        line.
-        """
-        pos, found = self._search(codes)
-        if not found.all():
-            raise InvalidPhaseError(
-                f"code {codes[~found][0]} is not that of a phase of the line"
-            )
-        return pos
-
-    def _search(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.searchsorted(self.codes, codes).clip(max=self.num_phases - 1)
-        return pos, self.codes[pos] == codes
+        first, rest = (np.array(w[1:], dtype=np.int64) for w in rank_weights(caps))
+        return (rows >= 1) @ first + (rows - 1).clip(min=0) @ rest
 
 
 def count_phases(buffer_capacities: Sequence[int]) -> int:
     """Exact phase count of a line with these (non-negative) capacities.
 
-    Counts prefixes ending in an empty station (``zero``) and in an occupied
-    one (``rest``; station 0 is never empty). Only an occupied station may
-    be followed by the sentinel. Python integers do not overflow.
+    Python integers do not overflow (see :func:`rank_weights`).
     """
-    zero, rest = 0, 1
-    for b in buffer_capacities:
-        zero, rest = zero + rest, zero * (b + 1) + rest * (b + 2)
-    return zero + rest
+    return rank_weights(buffer_capacities)[1][0]
 
 
 def enumerate_phases(
@@ -148,9 +124,8 @@ def enumerate_phases(
         phases = np.column_stack([np.repeat(phases, b + 3, axis=0), values])
         if i > 0:
             phases = phases[(values != b + 2) | (phases[:, i - 1] != 0)]
-    codes = _codes(phases, caps)
-    phases.flags.writeable = codes.flags.writeable = False
-    return PhaseSpace(config=config, phases=phases, codes=codes)
+    phases.flags.writeable = False
+    return PhaseSpace(config=config, phases=phases)
 
 
 def count_phases_closed_form(buffer_capacity: int, num_stations: int) -> int:

@@ -218,6 +218,16 @@ def test_sweep_rejects_bad_server_counts(capsys, servers):
     assert "server count" in err
 
 
+@pytest.mark.parametrize("servers", ["1", "3", "1..3"])
+def test_sweep_rejects_negative_buffer(capsys, servers):
+    # a one-server line has no buffer, so the flag is checked before any line
+    code, out, err = run(capsys, "sweep", "--servers", servers, "--mu0", "1",
+                         "--buffer", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --buffer must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("mu0", [",", ""])
 def test_sweep_rejects_empty_mu0(capsys, fmt, mu0):
@@ -330,6 +340,14 @@ def test_simulate_target_too_large(capsys):
 def test_phases_count(capsys):
     assert run(capsys, "phases", "--k", "1", "--buffer", "2")[1] == "5\n"
     assert run(capsys, "phases", "--k", "0")[1] == "1\n"
+
+
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_phases_rejects_negative_buffer(capsys, k):
+    code, out, err = run(capsys, "phases", "--k", k, "--buffer", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --buffer must be non-negative, got -1\n"
 
 
 def test_phases_list(capsys):

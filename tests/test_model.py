@@ -51,6 +51,8 @@ def test_non_positive_or_non_finite_rate_rejected(bad):
 def test_negative_buffer_rejected():
     with pytest.raises(NegativeBufferError):
         validate_config((1.0, 1.0), (-1,))
+    with pytest.raises(NegativeBufferError, match=r"^buffer 1 has negative capacity -1$"):
+        validate_config((1.0, 1.0, 1.0), (2, -1))
 
 
 def test_length_mismatch_rejected():

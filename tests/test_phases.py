@@ -16,7 +16,7 @@ from tandemqbd import (
     enumerate_phases,
     validate_config,
 )
-from tandemqbd.phases import place_values
+from tandemqbd.phases import rank_weights
 
 
 def brute_force_phases(buffers):
@@ -73,7 +73,6 @@ def test_phases_sorted_and_indexed():
     rows = [tuple(m) for m in space.phases.tolist()]
     assert rows == sorted(rows)
     assert len(set(rows)) == space.num_phases
-    assert (np.diff(space.codes) > 0).all()
     positions = np.arange(space.num_phases)
     np.testing.assert_array_equal(space.index(space.phases), positions)
     np.testing.assert_array_equal(space.index(space.phases[::-1]), positions[::-1])
@@ -121,19 +120,25 @@ def test_invalid_phase_lookup():
     for bad in [(0, 2), (0,), (3, 0), (-1, 0), (0, 3), [[1, 1], [0, 2]]]:
         with pytest.raises(InvalidPhaseError):
             space.index(bad)
-
-
-def test_codes_are_place_value_sums():
-    # place values of capacities [1, 0, 2]: radices 4, 3, 5
-    np.testing.assert_array_equal(place_values([1, 0, 2]), [15, 5, 1])
+    # (1, 0, 4) blocks an empty station; (1, 0, 5) is out of range
     space = enumerate_phases(line([1, 0, 2]))
-    np.testing.assert_array_equal(space.codes, space.phases @ [15, 5, 1])
-    np.testing.assert_array_equal(space.locate(space.codes[::-1]),
+    for bad in [(1, 0, 4), (1, 0, 5), [[0, 0, 0], [1, 0, 4]]]:
+        with pytest.raises(InvalidPhaseError, match=r"\(1, 0, [45]\)"):
+            space.index(bad)
+
+
+def test_rank_is_a_weighted_sum():
+    # capacities [1, 0, 2]: tails after an empty / an occupied station
+    first, rest = rank_weights([1, 0, 2])
+    assert (first, rest) == ([37, 9, 4, 1], [51, 14, 5, 1])
+    assert rest[0] == count_phases([1, 0, 2])
+    space = enumerate_phases(line([1, 0, 2]))
+    rows = space.phases
+    want = (rows >= 1) @ first[1:] + (rows - 1).clip(min=0) @ rest[1:]
+    np.testing.assert_array_equal(want, np.arange(space.num_phases))
+    np.testing.assert_array_equal(space.index(rows[::-1]),
                                   np.arange(space.num_phases)[::-1])
-    # (1, 0, 4) blocks an empty station; the other code is above every phase's
-    for missing in (15 + 4, space.codes[-1] + 1):
-        with pytest.raises(InvalidPhaseError):
-            space.locate(np.array([space.codes[0], missing]))
+    assert rank_weights([]) == ([1], [1])
 
 
 def test_state_space_cap():

@@ -6,6 +6,7 @@ failure reproduces; ``max_examples`` keeps the module to a few seconds.
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -76,8 +77,10 @@ def test_blocks_equal_scalar_kernel(cfg):
 @property_settings(100)
 @given(buffer_lists())
 def test_count_equals_enumeration(buffers):
-    cfg = validate_config([1.0] * (len(buffers) + 1), buffers)
-    assert count_phases(buffers) == enumerate_phases(cfg).num_phases
+    space = enumerate_phases(validate_config([1.0] * (len(buffers) + 1), buffers))
+    assert count_phases(buffers) == space.num_phases
+    # each phase's rank from the count's weights is its row
+    assert (space.index(space.phases) == np.arange(space.num_phases)).all()
 
 
 @property_settings(30)
