@@ -74,10 +74,15 @@ class PhaseSpace:
     def index(self, rows: ArrayLike) -> np.ndarray:
         """Position of each phase in ``rows`` (one phase or an array of them).
 
-        Raises InvalidPhaseError if any row is not a phase of this line.
+        Raises InvalidPhaseError if any row is not a phase of this line,
+        including a row whose values are not integers (floats, bools or
+        strings are not cast).
         """
         caps = self.config.buffer_capacities
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise InvalidPhaseError(f"a phase's values are integers, not {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
         if rows.shape[-1:] != (len(caps),):
             raise InvalidPhaseError(f"a phase has {len(caps)} values: {rows.shape}")
         sentinel = np.asarray(caps, dtype=np.int64) + 2

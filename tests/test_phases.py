@@ -127,6 +127,16 @@ def test_invalid_phase_lookup():
             space.index(bad)
 
 
+@pytest.mark.parametrize("bad", [(1.7, 0), ("a", 0), [True, False]])
+def test_phase_lookup_rejects_non_integers(bad):
+    # (1.7, 0) used to be truncated to (1, 0) and ("a", 0) raised a bare
+    # ValueError; (True, False) is not the phase (1, 0) either
+    space = enumerate_phases(line([0, 0]))
+    with pytest.raises(InvalidPhaseError, match="integers"):
+        space.index(bad)
+    assert space.index((1, 0)) == 2
+
+
 def test_rank_is_a_weighted_sum():
     # capacities [1, 0, 2]: tails after an empty / an occupied station
     first, rest = rank_weights([1, 0, 2])

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from tandemqbd import simulate
@@ -155,6 +156,62 @@ def test_seeded_outputs_are_pinned():
     c = simulate_with_arrivals(line([1.0, 0.9, 1.1], [1, 1]), 0.5, 5_000.0, seed=8)
     assert (c.arrivals, c.departures, c.final_level, c.in_system) == (2560, 2560, 0, 0)
     assert c.mean_level == pytest.approx(1.950865334859267, rel=1e-12, abs=0.0)
+
+
+def test_batch_bookkeeping_is_pinned():
+    """Exact outputs where the warm-up and batch boundaries are found: a
+    remainder after the batches, one server and an unbuffered pair. Values
+    taken while every customer was still counted one by one in Python."""
+    a = simulate_saturated(line([0.8, 1.0, 1.2], [1, 0]), 10_019, seed=3)
+    assert repr(a) == (
+        "SimResult(throughput_estimate=0.5968305138842603, "
+        "ci_half_width=0.009431827130755141, departures_counted=10019, seed=3, "
+        "total_departures=11021, customers_injected=11024, customers_in_system=3)"
+    )
+    b = simulate_saturated(line([1.3], []), 10_000, seed=4)
+    assert repr(b) == (
+        "SimResult(throughput_estimate=1.3151733175761349, "
+        "ci_half_width=0.02549828347553106, departures_counted=10000, seed=4, "
+        "total_departures=11000, customers_injected=11001, customers_in_system=1)"
+    )
+    c = simulate_saturated(line([1.0, 2.0], [0]), 10_000, seed=5)
+    assert repr(c) == (
+        "SimResult(throughput_estimate=0.8542039564913969, "
+        "ci_half_width=0.012195804977891777, departures_counted=10000, seed=5, "
+        "total_departures=11000, customers_injected=11001, customers_in_system=1)"
+    )
+
+
+def test_arrival_stream_is_pinned():
+    """Exact outputs of arrival runs: an int horizon, no arrivals, and
+    horizons that end just before and just after the first arrival."""
+    cfg = line([1.0, 0.9, 1.1], [1, 1])
+    assert repr(simulate_with_arrivals(cfg, 0.5, 5000, seed=8)) == (
+        "ArrivalSimResult(mean_level=1.950865334859275, final_level=0, "
+        "departures=2560, arrivals=2560, in_system=0, horizon=5000, seed=8)"
+    )
+    assert repr(simulate_with_arrivals(cfg, 0.0, 500.0, seed=8)) == (
+        "ArrivalSimResult(mean_level=0.0, final_level=0, departures=0, "
+        "arrivals=0, in_system=0, horizon=500.0, seed=8)"
+    )
+    # the first gap of seed 8's arrival stream is 0.168...
+    assert repr(simulate_with_arrivals(cfg, 0.5, 0.1, seed=8)) == (
+        "ArrivalSimResult(mean_level=0.0, final_level=0, departures=0, "
+        "arrivals=0, in_system=0, horizon=0.1, seed=8)"
+    )
+    assert repr(simulate_with_arrivals(cfg, 0.5, 0.17, seed=8)) == (
+        "ArrivalSimResult(mean_level=0.011296760581274776, final_level=1, "
+        "departures=0, arrivals=1, in_system=1, horizon=0.17, seed=8)"
+    )
+
+
+def test_drawing_leaves_numpy_error_state_alone():
+    # the stream is kept alive: closing a generator suspended inside an
+    # errstate would restore the state and hide the leak
+    with np.errstate(over="raise"):
+        draws = simulate._exp_draws(np.random.SeedSequence(1), 1.0)
+        next(draws)
+        assert np.geterr()["over"] == "raise"
 
 
 def peak_bytes(run):
