@@ -20,7 +20,8 @@ class NumericalError(TandemQueueError, ArithmeticError):
 
 
 class NonPositiveRateError(InputError):
-    """A service rate is zero, negative or not finite, or the rates' sum is not."""
+    """A service rate is not a positive finite number (a bool or a string is
+    not a number), or the rates' sum is not finite."""
 
 
 class NegativeBufferError(InputError):

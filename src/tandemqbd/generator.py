@@ -60,10 +60,16 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     the row counts, the columns put in order by ``sort_indices``. No
     completion keeps its phase and no two reach the same one, so no
     (row, col) pair repeats: the blocks are canonical CSR, identical across
-    runs.
+    runs. Raises ValueError when ``space`` was enumerated for other buffer
+    capacities; its rates may differ, since the phases do not depend on them.
     """
     from scipy import sparse  # here, not above: simulate and phases never load it
 
+    if space.config.buffer_capacities != config.buffer_capacities:
+        raise ValueError(
+            f"phases enumerated for buffer capacities {list(space.config.buffer_capacities)}, "
+            f"not {list(config.buffer_capacities)}"
+        )
     caps = np.asarray(config.buffer_capacities, dtype=np.int64)
     phases = space.phases
     n, k = phases.shape

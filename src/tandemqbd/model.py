@@ -51,27 +51,42 @@ def validate_config(
 ) -> TandemConfig:
     """Check raw rate/buffer sequences and freeze them into a TandemConfig.
 
-    Rejection is total: every violation raises, nothing is clamped.
+    Rejection is total: every violation raises, nothing is clamped or
+    parsed. A rate is a number that ``float()`` converts, so a bool, a
+    string, None and an integer beyond the float range are refused; a
+    buffer capacity is an integer, not a bool.
     Validating the fields of an already-valid config returns an equal config.
     """
-    rates = tuple(float(r) for r in raw_rates)
-    if not rates:
-        raise EmptySystemError("a tandem line needs at least one server")
-    total = 0.0
-    for i, r in enumerate(rates):
+    rates, total = [], 0.0
+    for i, raw in enumerate(raw_rates):
+        try:
+            if isinstance(raw, (bool, str, bytes, bytearray)):
+                raise TypeError
+            r = float(raw)
+        except OverflowError:
+            raise NonPositiveRateError(f"service rate {i} is beyond the float range") from None
+        except (TypeError, ValueError):
+            raise NonPositiveRateError(f"service rate {i} must be a number, got {raw!r}") from None
         if not (math.isfinite(r) and r > 0.0):
             raise NonPositiveRateError(
                 f"service rate {i} must be a positive finite number, got {r!r}"
             )
+        rates.append(r)
         total += r
+    if not rates:
+        raise EmptySystemError("a tandem line needs at least one server")
     # a phase's exit rate sums some of the rates in this order, so it stays
     # finite too
     if math.isinf(total):
         raise NonPositiveRateError("the service rates sum past the largest double")
-    try:
-        buffers = tuple(operator.index(b) for b in raw_buffers)
-    except TypeError:
-        raise InputError("buffer capacities must be integers") from None
+    buffers = []
+    for i, raw in enumerate(raw_buffers):
+        try:
+            if isinstance(raw, bool):
+                raise TypeError
+            buffers.append(operator.index(raw))
+        except TypeError:
+            raise InputError(f"buffer {i} must be an integer, got {raw!r}") from None
     if len(rates) != len(buffers) + 1:
         raise LengthMismatchError(
             f"{len(rates)} service rates require {len(rates) - 1} buffer "
@@ -80,7 +95,7 @@ def validate_config(
     for i, b in enumerate(buffers):
         if b < 0:
             raise NegativeBufferError(f"buffer {i} has negative capacity {b}")
-    return TandemConfig(service_rates=rates, buffer_capacities=buffers)
+    return TandemConfig(service_rates=tuple(rates), buffer_capacities=tuple(buffers))
 
 
 def config_from_document(obj: object) -> TandemConfig:
@@ -102,9 +117,6 @@ def config_from_document(obj: object) -> TandemConfig:
     buffers = obj["buffer_capacities"]
     if not isinstance(rates, list) or not isinstance(buffers, list):
         raise InputError("service_rates and buffer_capacities must be arrays")
-    for b in buffers:
-        if isinstance(b, bool) or not isinstance(b, int):
-            raise InputError(f"buffer capacities must be integers, got {b!r}")
     return validate_config(rates, buffers)
 
 
@@ -121,6 +133,6 @@ def load_config_file(path: str) -> TandemConfig:
         raise InputError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"config file {path} is not UTF-8: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_document(obj)

@@ -15,6 +15,8 @@ per coordinate, with weights from the recurrence that counts the phases
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,6 +41,15 @@ from .model import TandemConfig
 DEFAULT_MAX_PHASES = 200_000
 
 
+def _count_step(pair: tuple[int, int], b: int) -> tuple[int, int]:
+    """One step of the counting recurrence: (first, rest) of a tail of
+    stations (see :func:`rank_weights`), extended in front by a station of
+    capacity ``b``."""
+    first, rest = pair
+    first += (b + 1) * rest
+    return first, first + rest
+
+
 def rank_weights(caps: Sequence[int]) -> tuple[list[int], list[int]]:
     """Weights of the lexicographic rank of a phase, as Python ints.
 
@@ -50,11 +61,9 @@ def rank_weights(caps: Sequence[int]) -> tuple[list[int], list[int]]:
     the phases before m number sum_i [m_i >= 1] first[i+1]
     + max(m_i - 1, 0) rest[i+1].
     """
-    first, rest = [1], [1]
-    for b in reversed(caps):
-        first.append(first[-1] + (b + 1) * rest[-1])
-        rest.append(first[-1] + rest[-1])
-    return first[::-1], rest[::-1]
+    pairs = list(itertools.accumulate(reversed(caps), _count_step, initial=(1, 1)))
+    first, rest = zip(*pairs[::-1])
+    return list(first), list(rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +108,12 @@ class PhaseSpace:
 def count_phases(buffer_capacities: Sequence[int]) -> int:
     """Exact phase count of a line with these (non-negative) capacities.
 
-    Python integers do not overflow (see :func:`rank_weights`).
+    Python integers do not overflow. The recurrence of :func:`rank_weights`
+    is folded keeping only its last pair, so memory is that of the count
+    itself: all the weights of 20,000 stations would take tens of
+    megabytes, and they grow with the square of the station count.
     """
-    return rank_weights(buffer_capacities)[1][0]
+    return functools.reduce(_count_step, reversed(buffer_capacities), (1, 1))[1]
 
 
 def enumerate_phases(

@@ -42,6 +42,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -135,8 +136,10 @@ def _departures(
     starts as one 0 that stays at its head until the ring fills. Nothing
     beyond the last station blocks it.
     """
+    # a ring holds at most one time per customer, so sys.maxsize (deque's
+    # largest maxlen) caps a longer one without changing it
     rings = [
-        deque([0.0], maxlen=b + 1)
+        deque([0.0], maxlen=min(b + 1, sys.maxsize))
         for b in (0, *config.buffer_capacities)
     ]
     draws = [s.__next__ for s in streams]

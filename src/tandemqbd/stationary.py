@@ -16,20 +16,22 @@ so they never appear). The size and density of A pick one of two solvers:
   lexicographic order takes. The GMRES loop is this module's own, with
   scipy's stopping rule: scipy's loop spent about half of each solve in
   Python overhead;
-- linear level reduction otherwise, of which dense LU is the one-level
-  case. A transition moves the number of customers downstream of the
-  first station by at most one, so grouping the phases by that headcount
-  makes A block tridiagonal: a level-dependent QBD inside the phase
-  space. Without the phases the levels are consecutive blocks of A's own
-  order as wide as its bandwidth. At or below SPARSE_MIN_PHASES phases
-  the whole of A is one level. The blocks are eliminated from the lowest
-  level up (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984), each
-  Schur complement's diagonal rebuilt from its off-diagonal row sums
-  (Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985), and the top level
-  is solved by dense LU with partial pivoting, the normalisation replacing
-  the equation of its highest-indexed phase. Its memory is that of the
-  stored multipliers, the sum of the products of neighbouring level
-  sizes; no line above SPARSE_MIN_PHASES is densified whole.
+- linear level reduction otherwise, of which one dense solve of the
+  whole of A is the one-level case. A transition moves the number of
+  customers downstream of the first station by at most one, so grouping
+  the phases by that headcount makes A block tridiagonal: a
+  level-dependent QBD inside the phase space. Without the phases the
+  levels are consecutive blocks of A's own order as wide as its
+  bandwidth. At or below SPARSE_MIN_PHASES phases the whole of A is one
+  level. The blocks are eliminated from the lowest level up (Gaver, Jacobs
+  & Latouche, Adv. Appl. Prob. 16, 1984), each Schur complement's diagonal
+  rebuilt from its off-diagonal row sums (Grassmann, Taksar & Heyman,
+  Oper. Res. 33(5), 1985). The top level is solved by the same step: one
+  phase's share is fixed at 1 and the others follow from an M-matrix
+  solve with a non-negative right-hand side, so no system carries a row
+  of ones in place of an equation. Its memory is that of the stored
+  multipliers, the sum of the products of neighbouring level sizes; no
+  line above SPARSE_MIN_PHASES is densified whole.
 
 Every solver's answer passes the same residual and sign gate.
 
@@ -56,7 +58,7 @@ if TYPE_CHECKING:
 RESIDUAL_RTOL = 1e-10
 # entries at or below this are treated as genuinely negative, not roundoff
 NEGATIVE_ENTRY_TOL = -1e-9
-# a line of at most this many phases is one level, solved by dense LU, and
+# a line of at most this many phases is one level, the whole generator, and
 # never goes to GMRES
 SPARSE_MIN_PHASES = 250
 # GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
@@ -83,8 +85,8 @@ class StationaryVector:
 
     ``pi`` sums to one; ``residual`` is the max-norm of pi A achieved by
     the returned (pre-clamping) solution. ``solver`` is ``"block-lu"``
-    (level reduction, of which dense LU is the one-level case) or
-    ``"gmres-sgs"``;
+    (level reduction, of which one dense solve of the whole generator is
+    the one-level case) or ``"gmres-sgs"``;
     ``iterations`` counts GMRES inner iterations and is 0 for block-lu.
     """
 
@@ -176,11 +178,19 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
     off-diagonal entries are sums of non-negative terms, and its diagonal
     is reset to minus their row sum and the row sum of A_{l,l+1} (the GTH
     rule), which keeps each row's balance free of cancellation. The top
-    level, on one level the whole of A, is solved by :func:`_solve_dense`
-    and the rest back-substituted, pi_l = pi_{l+1} R_l, each level
-    normalised as it comes with its log scale carried along: the mass of a
-    level can fall below the smallest double many levels down ([1]*4,
-    B=[0,0,2000] gives NaN without it).
+    level, on one level the whole of A, is solved by the same step: with
+    the share of its last phase j fixed at 1, the others' are pi_o =
+    S_jo (-S_oo)^-1, an M-matrix solve with a non-negative right-hand side.
+    Where pi spans past a double's range those shares overflow against an
+    unlikely j, or come back as a wrong multiple with a negative sum; then
+    the likeliest phase found is rolled last and pinned instead, and the
+    shares are rolled back before the levels below use them ([1, 1e6],
+    B=50 overflows with its blocked phase pinned; no line of 4,000 stiff
+    ones of at most 250 phases needed a second retry). The rest is
+    back-substituted, pi_l = pi_{l+1} R_l, each level normalised as it
+    comes with its log scale carried along: the mass of a level can fall
+    below the smallest double many levels down ([1]*4, B=[0,0,2000] gives
+    NaN without it).
 
     Raises ValueError when a transition of A moves the level by more than
     one, and SingularSystemError when a level's elimination is exactly
@@ -232,7 +242,22 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
         np.fill_diagonal(S, -(S.sum(axis=1) + up.sum(axis=1)))
         multipliers.append(R)
 
-    parts, log_scales = [_solve_dense(S)], [0.0]  # the top level, pi e = 1 on it
+    rolled = 0  # the top level, its last phase's share fixed at 1; S rolled this far
+    for _ in range(len(S)):
+        try:
+            x = np.append(np.linalg.solve(S[:-1, :-1].T, -S[-1, :-1]), 1.0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+        mass = float(x.sum())
+        if 0.0 < mass < math.inf:
+            break
+        # an overflow or a negative mass: the last phase is far less likely
+        # than the likeliest found, which is rolled last to be pinned instead
+        shift = len(S) - 1 - int(np.nan_to_num(abs(x)).argmax())
+        S, rolled = np.roll(S, shift, (0, 1)), rolled + shift
+    else:
+        raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
+    parts, log_scales = [(np.roll(x, -rolled) if rolled else x) / mass], [0.0]
     for R in reversed(multipliers):
         x = parts[-1] @ R
         mass = float(x.sum())
@@ -246,19 +271,6 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
     pi = np.empty(n)
     pi[order] = np.concatenate([p * (w / total) for p, w in zip(parts[::-1], weights[::-1])])
     return pi
-
-
-def _solve_dense(A: np.ndarray) -> np.ndarray:
-    """A^T with its last row replaced by ones, solved by dense LU: pi A = 0
-    but for the highest-indexed phase's equation, and pi e = 1."""
-    system = A.T.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(len(A))
-    rhs[-1] = 1.0
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
 
 
 def _triangle_solver(T: sparse.spmatrix):

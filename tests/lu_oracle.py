@@ -1,11 +1,12 @@
 """Sparse LU by SuperLU: the tests' reference for the level-reduction solver.
 
 Until the level reduction replaced it, this was the package's solver for
-lines above 250 phases with at most 4.5 nonzeros per row. It solves the
-same normalised system that ``tandemqbd.stationary._solve_dense`` solves
-on a line of one level, from a sparse factor, so a test can check both of
-the package's solvers against an independent factorisation well above
-the sizes where dense LU is affordable.
+lines above 250 phases with at most 4.5 nonzeros per row. It solves A^T
+with its last equation replaced by the normalisation, a system that none
+of the package's solvers now factors (level reduction pins one phase's
+share instead, GMRES keeps the row of ones but iterates), so a test can
+check both of them against an independent factorisation well above the
+sizes where a dense solve is affordable.
 """
 
 from __future__ import annotations

@@ -95,6 +95,21 @@ def test_unreadable_config_file_exits_two(capsys, tmp_path, make):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "rates",
+    ['["abc", 1]', "[null, 1]", "[1%s, 1]" % ("0" * 400), '["1.5", true]',
+     "[1%s, 1]" % ("0" * 5000)],
+    ids=["word", "null", "huge-int", "string-and-bool", "too-long-to-parse"],
+)
+def test_config_rate_that_is_not_a_number_exits_two(capsys, tmp_path, rates):
+    path = tmp_path / "line.json"
+    path.write_text('{"service_rates": %s, "buffer_capacities": [0]}' % rates)
+    code, out, err = run(capsys, "analyze", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_analyze_rejects_bad_rates(capsys):
     code, out, err = run(capsys, "analyze", "--mu", "1,-0.5", "--buffers", "0")
     assert code == 2

@@ -189,3 +189,16 @@ def test_triplet_lines_are_stable():
         assert 0 <= int(r) < blocks.num_phases
         assert 0 <= int(c) < blocks.num_phases
         float(v)
+
+
+def test_space_of_other_capacities_is_refused():
+    space = enumerate_phases(validate_config([1, 1, 1], [1, 1]))
+    message = r"^phases enumerated for buffer capacities \[1, 1\], not \[2, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        build_blocks(validate_config([1, 1, 1], [2, 2]), space)
+    # the rates may differ: the phases depend only on the capacities
+    other_rates = validate_config([0.8, 1, 1.25], [1, 1])
+    want = build_blocks(other_rates, enumerate_phases(other_rates))
+    got = build_blocks(other_rates, space)
+    for a, b in ((got.level_same, want.level_same), (got.level_down, want.level_down)):
+        assert (a != b).nnz == 0

@@ -48,6 +48,33 @@ def test_non_positive_or_non_finite_rate_rejected(bad):
         validate_config((1.0, bad), (0,))
 
 
+@pytest.mark.parametrize(
+    "bad,reason",
+    [
+        ("abc", "must be a number, got 'abc'"),
+        (None, "must be a number, got None"),
+        ("1.5", "must be a number, got '1.5'"),
+        (True, "must be a number, got True"),
+        (10**400, "is beyond the float range"),
+    ],
+    ids=["word", "null", "numeric-string", "bool", "huge-int"],
+)
+def test_rate_that_is_not_a_number_rejected(bad, reason):
+    with pytest.raises(NonPositiveRateError, match=f"^service rate 1 {reason}$"):
+        validate_config((1.0, bad), (0,))
+    with pytest.raises(NonPositiveRateError, match=f"^service rate 1 {reason}$"):
+        config_from_document({"service_rates": [1.0, bad], "buffer_capacities": [0]})
+
+
+def test_bool_buffer_rejected():
+    for validate in (
+        lambda: validate_config([1, 2], [True]),
+        lambda: config_from_document({"service_rates": [1, 2], "buffer_capacities": [True]}),
+    ):
+        with pytest.raises(InputError, match=r"^buffer 0 must be an integer, got True$"):
+            validate()
+
+
 def test_negative_buffer_rejected():
     with pytest.raises(NegativeBufferError):
         validate_config((1.0, 1.0), (-1,))
@@ -130,4 +157,11 @@ def test_load_config_file_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(InputError):
+        load_config_file(str(path))
+
+
+def test_integer_too_long_to_parse_is_an_input_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"service_rates": [1, 1%s], "buffer_capacities": [0]}' % ("0" * 5000))
+    with pytest.raises(InputError, match="is not valid JSON"):
         load_config_file(str(path))

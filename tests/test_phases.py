@@ -166,6 +166,22 @@ def test_state_space_cap():
         tracemalloc.stop()
 
 
+def test_counting_many_stations_keeps_one_pair():
+    # all 20,001 pairs of weights would take tens of megabytes: the count
+    # holds about 8,360 digits, and the weights grow with the station count
+    caps = [0] * 20_000
+    tracemalloc.start()
+    try:
+        count = count_phases(caps)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    before, want = 1, 3  # c_k = 3 c_{k-1} - c_{k-2} with one capacity of 0
+    for _ in range(len(caps) - 1):
+        before, want = want, 3 * want - before
+    assert count == want and int(math.log10(count)) == 8359
+
+
 def test_no_stations_single_empty_phase():
     space = enumerate_phases(validate_config([1.0], []))
     assert space.phases.shape == (1, 0)

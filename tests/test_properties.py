@@ -7,7 +7,7 @@ failure reproduces; ``max_examples`` keeps the module to a few seconds.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -20,6 +20,7 @@ from tandemqbd import (
     lambda_max,
     validate_config,
 )
+from tandemqbd.stationary import SPARSE_MIN_PHASES
 
 MAX_PHASES = 3_000
 
@@ -121,13 +122,13 @@ def test_rate_does_not_fall_as_a_service_rate_grows(cfg, data):
     assert lambda_max(grown).lambda_max >= lambda_max(cfg).lambda_max - 1e-12
 
 
-def longest_buffer(head, after):
+def longest_buffer(head, after, max_phases=MAX_PHASES):
     """The longest buffer, up to 3,000, that can follow the buffers ``head``
-    and precede ``after`` zero buffers within MAX_PHASES phases."""
+    and precede ``after`` zero buffers within ``max_phases`` phases."""
     lo, hi = 0, 3_000
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if count_phases([*head, mid] + [0] * after) <= MAX_PHASES:
+        if count_phases([*head, mid] + [0] * after) <= max_phases:
             lo = mid
         else:
             hi = mid - 1
@@ -157,3 +158,40 @@ def test_every_line_gets_a_rate_or_a_package_error(cfg):
     except TandemQueueError:
         return
     assert math.isfinite(rate) and rate > 0.0
+
+
+@st.composite
+def stiff_one_level_lines(draw):
+    """Two to five servers, at most SPARSE_MIN_PHASES phases (one level),
+    rates log-uniform over a window of 12 to 18 decades. A long buffer
+    between rates that far apart makes pi span past a double's range."""
+    count = draw(st.integers(1, 4))
+    buffers = []
+    for i in range(count):
+        longest = longest_buffer(buffers, count - i - 1, SPARSE_MIN_PHASES)
+        buffers.append(draw(st.integers(0, longest)))
+    half = draw(st.floats(6.0, 9.0))
+    exponents = st.floats(-half, half)
+    rates = draw(st.lists(exponents, min_size=count + 1, max_size=count + 1))
+    return validate_config([10.0**e for e in rates], buffers)
+
+
+@property_settings(150)
+@given(stiff_one_level_lines())
+# pi spans about 10^606 and 10^312, its last phase the least likely
+@example(validate_config([1e-3, 1.0], [200]))
+@example(validate_config([1.0, 1e6], [50]))
+@example(validate_config([1.0, 1e-9], [50]))
+@example(validate_config([0.9183959987893575, 7.709616084063756e-12], [50]))
+def test_stiff_one_level_line_matches_its_reversal(cfg):
+    # the top level is solved as every level is, one phase's share fixed
+    # (the last, or the likeliest where the last is too unlikely to pin)
+    # and the rest an M-matrix solve: nothing subtracts, so no line raises,
+    # the reversed line (which has the same rate) agrees and the rate stays
+    # under the slowest server's
+    report = lambda_max(cfg)
+    assert report.num_phases <= SPARSE_MIN_PHASES
+    reversed_line = validate_config(cfg.service_rates[::-1], cfg.buffer_capacities[::-1])
+    rate, reversed_rate = report.lambda_max, lambda_max(reversed_line).lambda_max
+    assert abs(rate - reversed_rate) <= 1e-12 * rate
+    assert max(rate, reversed_rate) <= min(cfg.service_rates) * (1.0 + 1e-13)

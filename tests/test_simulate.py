@@ -155,7 +155,10 @@ def test_seeded_outputs_are_pinned():
     )
     c = simulate_with_arrivals(line([1.0, 0.9, 1.1], [1, 1]), 0.5, 5_000.0, seed=8)
     assert (c.arrivals, c.departures, c.final_level, c.in_system) == (2560, 2560, 0, 0)
-    assert c.mean_level == pytest.approx(1.950865334859267, rel=1e-12, abs=0.0)
+    assert repr(c) == (
+        "ArrivalSimResult(mean_level=1.950865334859275, final_level=0, "
+        "departures=2560, arrivals=2560, in_system=0, horizon=5000.0, seed=8)"
+    )
 
 
 def test_batch_bookkeeping_is_pinned():
@@ -239,6 +242,18 @@ def test_memory_does_not_grow_with_buffers():
     cfg = line([1.0, 1.0, 1.0], [10**12, 10**12])
     assert peak_bytes(lambda: simulate_saturated(cfg, 10_000, seed=1)) < 4 * 2**20
     assert peak_bytes(lambda: simulate_with_arrivals(cfg, 0.5, 2e4, seed=1)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("huge", [2**63 - 1, 10**30])
+def test_buffers_past_the_largest_ring_run_as_any_long_buffer(huge):
+    # no run has sys.maxsize customers, so every such ring is one that never fills
+    cfg, long = line([1.0, 1.0, 1.0], [huge, 1]), line([1.0, 1.0, 1.0], [10**12, 1])
+    assert repr(simulate_saturated(cfg, 10_000, seed=1)) == repr(
+        simulate_saturated(long, 10_000, seed=1)
+    )
+    assert repr(simulate_with_arrivals(cfg, 0.5, 2e3, seed=1)) == repr(
+        simulate_with_arrivals(long, 0.5, 2e3, seed=1)
+    )
 
 
 def test_t_quantile_is_pinned():

@@ -400,6 +400,52 @@ def test_one_level_stiff_lines_match_gth(rates, buffers, num_phases):
     assert abs(report.lambda_max - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize(
+    "rates,buffers",
+    [
+        ([1.0, 1e-9], [50]),
+        ([0.9183959987893575, 7.709616084063756e-12], [50]),
+        ([0.8916916828499185, 5.788554154048015e-08, 1.7309159953030457], [1, 0]),
+    ],
+)
+def test_stiff_top_level_matches_its_reference(rates, buffers):
+    # rates 9 to 11 decades apart on one level, the whole generator: a row
+    # of ones in place of one equation mixes those scales and misses these
+    # references by 3.0e-7, 6.1e-5 and 1.3e-9; the pinned M-matrix solve
+    # stays within an ulp or two
+    cfg = validate_config(rates, buffers)
+    if len(rates) == 2:
+        want = closed_form_two_server(*rates, *buffers)
+    else:
+        blocks = build_blocks(cfg, enumerate_phases(cfg))
+        down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
+        want = gth(phase_generator(blocks)) @ down
+        assert want == 5.7885541540480086e-08
+    assert abs(rate(rates, buffers) - want) <= 1e-13 * want
+
+
+def test_top_level_pins_its_likeliest_phase_above_other_levels():
+    # a birth-death chain of 340 phases, passed without its phases: one edge
+    # of negligible rate widens the bandwidth to 99, so the top level holds
+    # phases 297-339. pi rises tenfold a phase up to phase 300 and falls
+    # 1e10-fold a phase after it: pinned, the top level's last phase leaves
+    # the others' shares past the largest double, so phase 300 is pinned
+    # instead, and the levels below must follow the top level's own order
+    n, peak = 340, 300
+    up = np.where(np.arange(n - 1) < peak, 10.0, 1.0)  # rate of k -> k + 1
+    down = np.where(np.arange(1, n) <= peak, 1.0, 1e10)  # rate of k + 1 -> k
+    A = sparse.diags([down, up], [-1, 1], format="lil")
+    A[0, 99] = 1e-300
+    A = sparse.csr_matrix(A - sparse.diags(np.asarray(A.sum(axis=1)).ravel()))
+    log_pi = np.concatenate([[0.0], np.cumsum(np.log10(up / down))])
+    want = 10.0 ** (log_pi - log_pi.max())
+    want /= want.sum()
+    pi = solve_stationary(A).pi
+    assert want[-1] == 0.0 and pi[-1] == 0.0  # about 10^-390 of phase 300's share
+    seen = want > 1e-300
+    np.testing.assert_allclose(pi[seen], want[seen], rtol=1e-12, atol=0.0)
+
+
 def test_one_input_form():
     # a dense array, a canonical CSR, a CSR with one entry split into two
     # duplicates and a shuffled COO are read as the same CSR: the same pi to
