@@ -26,15 +26,21 @@ space = enumerate_phases(config)
 print(f"\n{space.num_phases} phases: {space.phases.tolist()}")
 
 # Service completions either keep the backlog at the first station unchanged
-# or shrink it by one; each kind gets its own rate block.
+# or shrink it by one. Assembly lists them as rate entries, each tagged with
+# its kind; split by that tag they give two rate blocks, built as sparse
+# matrices when first asked for.
 blocks = build_blocks(config, space)
-print("\nlevel-preserving block:")
+print(f"\n{len(blocks.rates)} rate entries, {int(blocks.down.sum())} of them lower the level")
+print("level-preserving block:")
 print(np.array_str(blocks.level_same.toarray(), precision=3, suppress_small=True))
 print("level-decreasing block:")
 print(np.array_str(blocks.level_down.toarray(), precision=3, suppress_small=True))
 
 # Long-run phase distribution, assuming the first station never runs dry.
-stationary = solve_stationary(phase_generator(blocks))
+# On a line this small the generator (the sum of the blocks) is a dense array.
+generator = phase_generator(blocks)
+print(f"\ngenerator:\n{np.array_str(generator, precision=3, suppress_small=True)}")
+stationary = solve_stationary(generator)
 print(f"\nstationary phase vector: {np.round(stationary.pi, 6)}")
 print(f"solver residual: {stationary.residual:.2e}")
 

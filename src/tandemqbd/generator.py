@@ -7,22 +7,27 @@ the customer downstream, blocks server i when the next station is full, or
 whole chain in one atomic step. The level drops exactly when that chain
 reaches station 0, i.e. when a customer leaves the first station.
 
-Two blocks are assembled over the phase space: ``level_same`` for
-phase-changing completions that keep the level, and ``level_down`` for the
-ones that lower it by one. Arrivals would contribute a diagonal block
-(arrival rate times identity); they cancel out of every stationary
-computation done here, so no arrival rate is ever stored.
+Assembly produces one list of rate entries over the phase space: every
+completion, tagged with whether it lowers the level, and each phase's
+negated exit rate on the diagonal. Split by that tag, the list gives the
+two blocks of the repeating generator rows: ``level_same`` for the entries
+that keep the level, and ``level_down`` for the ones that lower it by one.
+Arrivals would contribute a diagonal block (arrival rate times identity);
+they cancel out of every stationary computation done here, so no arrival
+rate is ever stored.
 
 :func:`build_blocks` applies the completion rule to the whole phase array
-at once, finds each target's position by stepping the source's
-lexicographic rank (:func:`~tandemqbd.phases.rank_weights`), and writes
-each block's CSR arrays directly, without a COO intermediate. A
+at once and finds each target's position by stepping the source's
+lexicographic rank (:func:`~tandemqbd.phases.rank_weights`). The list is
+all that the solve and the fold read on a line of one level; the blocks
+are built as scipy CSR matrices only when first asked for. A
 phase-by-phase version of the same rule lives with the tests
 (``tests/scalar_kernel.py``), which require the two to agree.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,36 +40,66 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QbdBlocks:
-    """Sparse rate blocks of the repeating generator rows.
+    """Rate entries of the repeating generator rows, and their two blocks.
 
-    ``level_same`` carries the level-preserving rates; its diagonal holds
-    the negated total exit rate of each phase (arrival terms excluded, they
-    cancel). ``level_down`` carries the level-decreasing rates and has at
-    most one entry per row. Row r of level_same + level_down sums to zero.
+    Entry e moves phase ``rows[e]`` to phase ``cols[e]`` at rate
+    ``rates[e]`` and lowers the level by one where ``down[e]`` holds. The
+    completions come first, grouped by source phase, then one diagonal
+    entry per phase: the negated total exit rate (arrival terms excluded,
+    they cancel), so each phase's entries sum to zero. The arrays are
+    read-only; ``rows`` and ``cols`` are int32 below 2^31 phases.
+
+    ``level_same`` (the entries that keep the level, the diagonal included)
+    and ``level_down`` (the others, at most one a row) are canonical CSR
+    with int32 indices, built from the entries on first use.
     """
 
-    level_same: sparse.csr_matrix
-    level_down: sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
+    down: np.ndarray
     num_phases: int
+
+    @functools.cached_property
+    def level_same(self) -> sparse.csr_matrix:
+        return self.csr(~self.down)
+
+    @functools.cached_property
+    def level_down(self) -> sparse.csr_matrix:
+        return self.csr(self.down)
+
+    def csr(self, keep: np.ndarray | None = None) -> sparse.csr_matrix:
+        """The entries where ``keep`` holds, all of them by default, as CSR.
+
+        Entries are grouped by row with a stable sort, ``indptr`` comes from
+        the row counts and ``sort_indices`` puts the columns in order. No
+        completion keeps its phase and no two reach the same one, so on a
+        line of two or more servers no (row, col) pair repeats and the
+        matrix is canonical, identical across runs. On one server the sole
+        completion returns to the sole phase, so (0, 0) is stored twice.
+        """
+        from scipy import sparse  # here, not above: a line of one level never needs it
+
+        n = self.num_phases
+        at = np.arange(len(self.rows)) if keep is None else np.flatnonzero(keep)
+        at = at[np.argsort(self.rows[at], kind="stable")]
+        indptr = np.append(0, np.cumsum(np.bincount(self.rows[at], minlength=n)))
+        matrix = sparse.csr_matrix((self.rates[at], self.cols[at], indptr), shape=(n, n))
+        matrix.sort_indices()
+        return matrix
 
 
 def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
-    """Assemble the level-preserving and level-decreasing rate blocks.
+    """List the rate entries of the repeating generator rows.
 
     The completion rule runs on all (phase, eligible server) pairs at once,
     its release cascade as at most K masked passes toward the front. Exit
-    rates are summed in server order. Each block is built from its CSR
-    arrays: the entries grouped by row with a stable sort, ``indptr`` from
-    the row counts, the columns put in order by ``sort_indices``. No
-    completion keeps its phase and no two reach the same one, so no
-    (row, col) pair repeats: the blocks are canonical CSR, identical across
-    runs. Raises ValueError when ``space`` was enumerated for other buffer
-    capacities; its rates may differ, since the phases do not depend on them.
+    rates are summed in server order. Raises ValueError when ``space`` was
+    enumerated for other buffer capacities; its rates may differ, since the
+    phases do not depend on them.
     """
-    from scipy import sparse  # here, not above: simulate and phases never load it
-
     if space.config.buffer_capacities != config.buffer_capacities:
         raise ValueError(
             f"phases enumerated for buffer capacities {list(space.config.buffer_capacities)}, "
@@ -103,21 +138,18 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
         station[live] = j
     rates = np.asarray(config.service_rates)[servers]
     exit_rate = np.bincount(rows, weights=rates, minlength=n)
-    # the diagonal, in the level-preserving block, balances the row sums
+    # the diagonal, which keeps the level, balances the row sums
     diag = np.arange(n)
-    rows, cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    # positions in scipy's own index type: int32 halves the memory that the
+    # list holds through a solve (8 MB at 151,316 phases)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows, cols = (np.concatenate([a, diag], dtype=index) for a in (rows, cols))
     rates = np.concatenate([rates, -exit_rate])
     # a cascade still releasing has reached station 0: the level drops
     down = np.concatenate([releasing, np.zeros(n, dtype=bool)])
-    # row-major entries, then the diagonal: the stable sort merges two runs
-    order = np.argsort(rows, kind="stable")
-    in_down = down[order]
-    blocks = []
-    for at in (order[~in_down], order[in_down]):
-        indptr = np.append(0, np.cumsum(np.bincount(rows[at], minlength=n)))
-        blocks.append(sparse.csr_matrix((rates[at], cols[at], indptr), shape=(n, n)))
-        blocks[-1].sort_indices()
-    return QbdBlocks(*blocks, num_phases=n)
+    for array in (rows, cols, rates, down):
+        array.flags.writeable = False
+    return QbdBlocks(rows, cols, rates, down, num_phases=n)
 
 
 def triplet_lines(matrix: sparse.csr_matrix) -> list[str]:

@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     EmptySystemError,
     InputError,
@@ -52,15 +54,15 @@ def validate_config(
     """Check raw rate/buffer sequences and freeze them into a TandemConfig.
 
     Rejection is total: every violation raises, nothing is clamped or
-    parsed. A rate is a number that ``float()`` converts, so a bool, a
-    string, None and an integer beyond the float range are refused; a
-    buffer capacity is an integer, not a bool.
+    parsed. A rate is a number that ``float()`` converts, so a bool (a
+    numpy one too), a string, None and an integer beyond the float range
+    are refused; a buffer capacity is an integer, not a bool.
     Validating the fields of an already-valid config returns an equal config.
     """
     rates, total = [], 0.0
     for i, raw in enumerate(raw_rates):
         try:
-            if isinstance(raw, (bool, str, bytes, bytearray)):
+            if isinstance(raw, (bool, np.bool_, str, bytes, bytearray)):
                 raise TypeError
             r = float(raw)
         except OverflowError:

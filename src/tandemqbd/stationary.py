@@ -33,16 +33,23 @@ so they never appear). The size and density of A pick one of two solvers:
   multipliers, the sum of the products of neighbouring level sizes; no
   line above SPARSE_MIN_PHASES is densified whole.
 
-Every solver's answer passes the same residual and sign gate.
+A is read as one list of (row, col, value) entries. The choice of
+solver counts them, level reduction scatters them into its levels, and
+every solver's answer passes the same residual and sign gate on them;
+GMRES alone takes A as CSR.
 
 scipy is imported inside the functions that use it, not here: scipy.sparse
-and scipy.sparse.linalg take about 0.2 s to import, a simulation needs
-neither, and only GMRES needs the second.
+and scipy.sparse.linalg take about 0.2 s to import. Level reduction needs
+neither. :func:`phase_generator` gives the generator of a line of at most
+SPARSE_MIN_PHASES phases as a dense array, so an analysis of such a line
+loads no scipy at all; above that it gives CSR, and only GMRES loads
+scipy.sparse.linalg.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -96,9 +103,20 @@ class StationaryVector:
     iterations: int
 
 
-def phase_generator(blocks: QbdBlocks) -> sparse.csr_matrix:
-    """Sparse generator of the phase marginal: level_same + level_down."""
-    return blocks.level_same + blocks.level_down
+def phase_generator(blocks: QbdBlocks) -> np.ndarray | sparse.csr_matrix:
+    """Generator of the phase marginal, the entrywise sum level_same + level_down.
+
+    At or below SPARSE_MIN_PHASES phases, the size at which the solver
+    takes the whole generator as one dense level, it is a dense array,
+    built by one ``bincount`` of the rate entries, so an entry that shares
+    its place with the diagonal (the one completion of a one-server line)
+    is summed with it. Above, it is canonical CSR built from the entries.
+    """
+    n = blocks.num_phases
+    if n > SPARSE_MIN_PHASES:
+        return blocks.csr()
+    at = blocks.rows * n + blocks.cols
+    return np.bincount(at, blocks.rates, minlength=n * n).reshape(n, n)
 
 
 def solve_stationary(
@@ -106,15 +124,17 @@ def solve_stationary(
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
-    A may be dense or sparse and is read as CSR; its phase count and
-    nonzeros per row pick the solver (see the module docstring). ``phases``,
-    the (M, K) phase array that A's rows and columns follow, gives level
-    reduction its levels above SPARSE_MIN_PHASES and lets GMRES sweep in
-    flow order; without it level reduction takes blocks of A's bandwidth as
-    its levels and GMRES sweeps in A's own order. pi comes back in A's
-    order either way. Raises ValueError when A is not square, ``phases``
-    has not one row per phase, or a transition of A moves the level by
-    more than one; SingularSystemError when A has a non-finite entry, when
+    A may be dense or sparse. It is read as one list of (row, col, value)
+    entries: a dense A's nonzeros in row-major order, a sparse A's stored
+    entries as CSR. Its phase count and nonzeros per row pick the solver
+    (see the module docstring). ``phases``, the (M, K) phase array that
+    A's rows and columns follow, gives level reduction its levels above
+    SPARSE_MIN_PHASES and lets GMRES sweep in flow order; without it level
+    reduction takes blocks of A's bandwidth as its levels and GMRES sweeps
+    in A's own order. pi comes back in A's order either way. Raises
+    ValueError when A is not square, ``phases`` has not one row per phase,
+    or a transition of A moves the level by more than one;
+    SingularSystemError when A has a non-finite entry, when
     a factorization fails, when a level's share of pi is not positive and
     finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
     relative to max|A| (rank deficiency beyond the expected
@@ -124,25 +144,37 @@ def solve_stationary(
     Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
-    from scipy import sparse
-
     shape = np.shape(A)
     n = shape[0]
     if shape != (n, n):
         raise ValueError("generator must be square")
     if phases is not None and len(phases) != n:
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
-    if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
-        A = sparse.csr_matrix(A, dtype=float)
-    scale = float(np.abs(A.data).max(initial=0.0))
+    # a sparse A was made by scipy.sparse, so it is loaded already
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(A):
+        if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
+            A = sparse.csr_matrix(A, dtype=float)
+        rows, cols, rates = np.arange(n).repeat(np.diff(A.indptr)), A.indices, A.data
+    else:
+        A = np.asarray(A, dtype=float)
+        # np.nonzero's order; its two-dimensional form takes ten times as long
+        at = np.flatnonzero(A != 0.0)
+        rows, cols = np.divmod(at, n)
+        rates = A.ravel()[at]
+    scale = float(np.abs(rates).max(initial=0.0))
     if not math.isfinite(scale):
         raise SingularSystemError("generator has a non-finite entry")
-    if n > SPARSE_MIN_PHASES and A.nnz > ITERATIVE_MIN_ROW_NNZ * n:
+    if n > SPARSE_MIN_PHASES and len(rates) > ITERATIVE_MIN_ROW_NNZ * n:
+        if isinstance(A, np.ndarray):
+            from scipy import sparse
+
+            A = sparse.csr_matrix(A)
         (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
     else:
-        pi, solver, iterations = _solve_levels(A, phases), "block-lu", 0
-    indptr = A.indptr
-    flow = np.bincount(A.indices, pi.repeat(indptr[1:] - indptr[:-1]) * A.data, minlength=n)
+        dense = A if isinstance(A, np.ndarray) else None
+        pi, solver, iterations = _solve_levels(n, rows, cols, rates, phases, dense), "block-lu", 0
+    flow = np.bincount(cols, pi[rows] * rates, minlength=n)
     residual = float(abs(flow).max())
     if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
         raise SingularSystemError(
@@ -158,8 +190,21 @@ def solve_stationary(
     return StationaryVector(pi=pi, residual=residual, solver=solver, iterations=iterations)
 
 
-def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.ndarray:
-    """pi A = 0, pi e = 1 by linear level reduction; pi in A's order.
+def _solve_levels(
+    n: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    rates: np.ndarray,
+    phases: np.ndarray | None = None,
+    dense: np.ndarray | None = None,
+) -> np.ndarray:
+    """pi A = 0, pi e = 1 by linear level reduction, for the n x n generator
+    A whose entries are (rows, cols, rates), a (row, col) pair given more
+    than once counting as the sum; pi in A's order. ``dense``, A itself as
+    a dense array if the caller has one, is read, never written: on a line
+    of one level it is the top level as it stands, so the entries are
+    neither sorted into levels nor scattered into a band again, which
+    saves an M x M array on every line of at most SPARSE_MIN_PHASES phases.
 
     At or below SPARSE_MIN_PHASES phases A is one level. Above, with
     ``phases`` the level of a phase is its number of customers downstream
@@ -170,8 +215,8 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
     blocks of A's order, each as wide as A's bandwidth max|i - j| (at
     least 1), so that no nonzero reaches past the next block. Either way A
     is block tridiagonal in its levels, and the cost is about the sum of
-    the cubes of the level sizes. Each level's rows are scattered from A's
-    CSR arrays into one dense band, duplicates summed. Reducing from the
+    the cubes of the level sizes. Each level's rows are scattered from the
+    entries into one dense band, duplicates summed. Reducing from the
     bottom, S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} =
     A_{l+1,l+1} + R_l A_{l,l+1}: S_l is the level-l block of the chain
     watched only on levels l and up, so S_l e + A_{l,l+1} e = 0. Its
@@ -196,9 +241,52 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
     one, and SingularSystemError when a level's elimination is exactly
     singular or its mass is not positive and finite.
     """
-    n = A.shape[0]
-    indptr, cols, rates = A.indptr, A.indices, A.data
-    rows = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+    if dense is not None and n <= SPARSE_MIN_PHASES:
+        S, multipliers, order = dense, [], np.arange(n)
+    else:
+        S, multipliers, order = _reduce_levels(n, rows, cols, rates, phases)
+
+    rolled = 0  # the top level, its last phase's share fixed at 1; S rolled this far
+    for _ in range(len(S)):
+        try:
+            x = np.append(np.linalg.solve(S[:-1, :-1].T, -S[-1, :-1]), 1.0)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"stationary system is singular: {exc}") from exc
+        mass = float(x.sum())
+        if 0.0 < mass < math.inf:
+            break
+        # an overflow or a negative mass: the last phase is far less likely
+        # than the likeliest found, which is rolled last to be pinned instead
+        shift = len(S) - 1 - int(np.nan_to_num(abs(x)).argmax())
+        S, rolled = np.roll(S, shift, (0, 1)), rolled + shift
+    else:
+        raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
+    parts, log_scales = [(np.roll(x, -rolled) if rolled else x) / mass], [0.0]
+    for R in reversed(multipliers):
+        x = parts[-1] @ R
+        mass = float(x.sum())
+        if not 0.0 < mass < math.inf:
+            raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
+        parts.append(x / mass)
+        log_scales.append(log_scales[-1] + math.log(mass))
+    top = max(log_scales)
+    weights = [math.exp(s - top) for s in log_scales]
+    total = sum(weights)
+    pi = np.empty(n)
+    pi[order] = np.concatenate([p * (w / total) for p, w in zip(parts[::-1], weights[::-1])])
+    return pi
+
+
+def _reduce_levels(
+    n: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    rates: np.ndarray,
+    phases: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The levels of :func:`_solve_levels` reduced from the bottom up:
+    (S of the top level, the multipliers R_l from level 0 up, the phases'
+    order level by level)."""
     if n <= SPARSE_MIN_PHASES:
         level = np.zeros(n, dtype=np.intp)
     elif phases is None:
@@ -241,36 +329,7 @@ def _solve_levels(A: sparse.csr_matrix, phases: np.ndarray | None = None) -> np.
         np.fill_diagonal(S, 0.0)
         np.fill_diagonal(S, -(S.sum(axis=1) + up.sum(axis=1)))
         multipliers.append(R)
-
-    rolled = 0  # the top level, its last phase's share fixed at 1; S rolled this far
-    for _ in range(len(S)):
-        try:
-            x = np.append(np.linalg.solve(S[:-1, :-1].T, -S[-1, :-1]), 1.0)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-        mass = float(x.sum())
-        if 0.0 < mass < math.inf:
-            break
-        # an overflow or a negative mass: the last phase is far less likely
-        # than the likeliest found, which is rolled last to be pinned instead
-        shift = len(S) - 1 - int(np.nan_to_num(abs(x)).argmax())
-        S, rolled = np.roll(S, shift, (0, 1)), rolled + shift
-    else:
-        raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
-    parts, log_scales = [(np.roll(x, -rolled) if rolled else x) / mass], [0.0]
-    for R in reversed(multipliers):
-        x = parts[-1] @ R
-        mass = float(x.sum())
-        if not 0.0 < mass < math.inf:
-            raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
-        parts.append(x / mass)
-        log_scales.append(log_scales[-1] + math.log(mass))
-    top = max(log_scales)
-    weights = [math.exp(s - top) for s in log_scales]
-    total = sum(weights)
-    pi = np.empty(n)
-    pi[order] = np.concatenate([p * (w / total) for p, w in zip(parts[::-1], weights[::-1])])
-    return pi
+    return S, multipliers, order
 
 
 def _triangle_solver(T: sparse.spmatrix):

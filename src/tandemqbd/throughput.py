@@ -60,8 +60,8 @@ def lambda_max(
     space = enumerate_phases(config, max_phases=max_phases)
     blocks = build_blocks(config, space)
     stat = solve_stationary(phase_generator(blocks), phases=space.phases)
-    down, n = blocks.level_down, space.num_phases
-    down_rates = np.bincount(np.arange(n).repeat(np.diff(down.indptr)), down.data, minlength=n)
+    down = blocks.down
+    down_rates = np.bincount(blocks.rows[down], blocks.rates[down], minlength=space.num_phases)
     rate = float(stat.pi @ down_rates)
     closed = None
     if config.num_servers == 2:

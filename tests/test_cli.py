@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -384,6 +385,68 @@ def test_phases_over_cap_message_is_short(capsys):
     assert len(err) < 200
 
 
+# both reference grids at full precision, as the package gave them when the
+# generator was still summed from two sparse blocks; every digit must stay
+PINNED_GRIDS = {
+    0: [
+        "3,0,0.8,1.0,8,0.51998994216746297",
+        "3,0,1.0,1.0,8,0.5641025641025641",
+        "3,0,1.25,1.0,8,0.59843778830186356",
+        "4,0,0.8,1.0,21,0.48502935270767916",
+        "4,0,1.0,1.0,21,0.51477548931815287",
+        "4,0,1.25,1.0,21,0.53504970033608024",
+        "5,0,0.8,1.0,55,0.46399370409886787",
+        "5,0,1.0,1.0,55,0.48579812156929331",
+        "5,0,1.25,1.0,55,0.49916808733617096",
+        "6,0,0.8,1.0,144,0.44986986077791108",
+        "6,0,1.0,1.0,144,0.46671326300698318",
+        "6,0,1.25,1.0,144,0.47618501746917863",
+    ],
+    1: [
+        "3,1,0.8,1.0,15,0.61552879880715072",
+        "3,1,1.0,1.0,15,0.67046615832088674",
+        "3,1,1.25,1.0,15,0.70725438637740001",
+        "4,1,0.8,1.0,56,0.59239377998662646",
+        "4,1,1.0,1.0,56,0.63115268537705316",
+        "4,1,1.25,1.0,56,0.65259831740766217",
+        "5,1,0.8,1.0,209,0.57820781585309577",
+        "5,1,1.0,1.0,209,0.6075832861062771",
+        "5,1,1.25,1.0,209,0.6215856101675169",
+        "6,1,0.8,1.0,780,0.56852108261126488",
+        "6,1,1.0,1.0,780,0.5918257796050177",
+        "6,1,1.25,1.0,780,0.60167738951745731",
+    ],
+}
+
+
+@pytest.mark.parametrize("buffer", [0, 1])
+def test_reference_grid_is_pinned_to_the_bit(capsys, buffer):
+    code, out, _ = run(capsys, "sweep", "--servers", "3..6", "--mu0", "0.8,1.0,1.25",
+                       "--buffer", str(buffer), "--precision", "full")
+    assert code == 0
+    assert out.splitlines() == [SWEEP_HEADER, *PINNED_GRIDS[buffer]]
+
+
+def test_huge_phases_request_is_refused_fast():
+    # a fresh interpreter, as a user runs it; the exact count of 200,000
+    # stations took 2.4 s to fold before the line was refused
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys\nfrom tandemqbd.cli import main\n"
+    probe += "sys.exit(main(['phases', '--k', '200000', '--buffer', '0']))"
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.perf_counter() - start
+    assert result.returncode == 2 and result.stdout == ""
+    assert "about 10^83595 phases" in result.stderr
+    assert seconds < 1.5
+
+
 def test_numerical_errors_exit_three(capsys, monkeypatch):
     import tandemqbd.cli as cli_module
 
@@ -412,12 +475,10 @@ def command(*argv):
         ),
         (command("phases", "--k", "3", "--buffer", "1", "--list"), [], ["scipy"]),
         (command("analyze", "--mu", "1,-1", "--buffers", "0"), [], ["scipy"]),
-        # 15 phases: one level, dense LU, but the blocks are assembled sparse
-        (
-            command("analyze", "--mu", "0.8,1,1", "--buffers", "1"),
-            ["scipy.sparse"],
-            ["scipy.sparse.linalg"],
-        ),
+        # 15 phases: one level, solved from the dense generator
+        (command("analyze", "--mu", "0.8,1,1", "--buffers", "1"), [], ["scipy"]),
+        # lines of 15 to 209 phases, each one level
+        (command("sweep", "--servers", "3..5", "--mu0", "0.8,1", "--buffer", "1"), [], ["scipy"]),
         # 496 phases: level reduction on the sparse generator
         (
             command("analyze", "--mu", "1,1,1,1", "--buffers", "5"),
@@ -438,6 +499,7 @@ def command(*argv):
         "phases",
         "input-error",
         "analyze-dense",
+        "sweep-dense",
         "analyze-levels",
         "analyze-gmres",
     ],

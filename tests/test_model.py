@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tandemqbd import (
@@ -64,6 +65,13 @@ def test_rate_that_is_not_a_number_rejected(bad, reason):
         validate_config((1.0, bad), (0,))
     with pytest.raises(NonPositiveRateError, match=f"^service rate 1 {reason}$"):
         config_from_document({"service_rates": [1.0, bad], "buffer_capacities": [0]})
+
+
+@pytest.mark.parametrize("bad", [np.True_, np.False_], ids=["true", "false"])
+def test_numpy_bool_rate_rejected(bad):
+    # float() takes a numpy bool as 1.0 or 0.0; like a Python bool, it is no rate
+    with pytest.raises(InputError, match=f"^service rate 0 must be a number, got {bad!r}$"):
+        validate_config([bad, 1.0], [0])
 
 
 def test_bool_buffer_rejected():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from tandemqbd import (
     enumerate_phases,
     validate_config,
 )
-from tandemqbd.phases import rank_weights
+from tandemqbd.phases import _log10_count, rank_weights
 
 
 def brute_force_phases(buffers):
@@ -164,6 +165,28 @@ def test_state_space_cap():
         assert tracemalloc.get_traced_memory()[1] < 1_000_000
     finally:
         tracemalloc.stop()
+
+
+def test_float_count_matches_exact_count():
+    # the refusal reads the float count's decade; it is the exact count's
+    rng = np.random.default_rng(5)
+    lines = [[b] * k for b in range(4) for k in range(1, 1300, 37)]
+    lines += [rng.integers(0, 60, rng.integers(1, 300)).tolist() for _ in range(200)]
+    for caps in lines:
+        want = math.log10(count_phases(caps))
+        got = _log10_count(caps)
+        assert int(got) == int(want) and abs(got - want) <= 1e-9 * want, caps
+    assert _log10_count([]) == 0.0 and _log10_count([10**200]) == math.inf
+
+
+def test_huge_line_is_refused_without_its_exact_count():
+    # 200,000 stations: the exact count has 83,596 digits and takes seconds
+    # to fold, the float count a few hundredths of a second
+    config = line([0] * 200_000)
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceTooLargeError, match=r"about 10\^83595 phases"):
+        enumerate_phases(config)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_counting_many_stations_keeps_one_pair():

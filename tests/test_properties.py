@@ -18,6 +18,7 @@ from tandemqbd import (
     count_phases,
     enumerate_phases,
     lambda_max,
+    phase_generator,
     validate_config,
 )
 from tandemqbd.stationary import SPARSE_MIN_PHASES
@@ -73,6 +74,19 @@ def test_blocks_equal_scalar_kernel(cfg):
     want_same, want_down = scalar_blocks(cfg, space)
     assert (blocks.level_same != want_same).nnz == 0
     assert (blocks.level_down != want_down).nnz == 0
+
+
+@property_settings(60)
+@given(lines(max_phases=SPARSE_MIN_PHASES))
+@example(validate_config([1.7], []))  # its one completion shares the diagonal's place
+@example(validate_config([1e-9, 1e9], [3]))
+def test_dense_generator_is_the_block_sum(cfg):
+    # up to SPARSE_MIN_PHASES phases the generator is one bincount of the
+    # rate entries; it must be the sparse sum of the blocks to the bit
+    blocks = build_blocks(cfg, enumerate_phases(cfg))
+    A = phase_generator(blocks)
+    assert isinstance(A, np.ndarray) and A.dtype == np.float64
+    assert np.array_equal(A, (blocks.level_same + blocks.level_down).toarray())
 
 
 @property_settings(100)

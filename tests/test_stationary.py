@@ -28,8 +28,11 @@ from tandemqbd.stationary import SPARSE_MIN_PHASES, _solve_gmres, _solve_levels
 
 
 def generator_for(rates, buffers):
+    """The phase generator as a dense array; phase_generator gives one up to
+    SPARSE_MIN_PHASES phases and CSR above."""
     cfg = validate_config(rates, buffers)
-    return phase_generator(build_blocks(cfg, enumerate_phases(cfg))).toarray()
+    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    return A if isinstance(A, np.ndarray) else A.toarray()
 
 
 def power_method_pi(A, tol=1e-13, max_iter=2_000_000):
@@ -317,7 +320,9 @@ def test_levels_match_lu_oracle(rates, buffers):
     assert A.nnz <= stationary.ITERATIVE_MIN_ROW_NNZ * A.shape[0]
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     lu_rate = sparse_lu(A) @ down
-    assert abs(_solve_levels(A, space.phases) @ down - lu_rate) <= 1e-12 * lu_rate
+    coo = A.tocoo()
+    pi = _solve_levels(A.shape[0], coo.row, coo.col, coo.data, space.phases)
+    assert abs(pi @ down - lu_rate) <= 1e-12 * lu_rate
 
 
 # each of these lost its answer when a step of the level reduction was
