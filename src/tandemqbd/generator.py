@@ -74,11 +74,12 @@ class QbdBlocks:
         """The entries where ``keep`` holds, all of them by default, as CSR.
 
         Entries are grouped by row with a stable sort, ``indptr`` comes from
-        the row counts and ``sort_indices`` puts the columns in order. No
-        completion keeps its phase and no two reach the same one, so on a
-        line of two or more servers no (row, col) pair repeats and the
-        matrix is canonical, identical across runs. On one server the sole
-        completion returns to the sole phase, so (0, 0) is stored twice.
+        the row counts and ``sort_indices`` puts the columns in order. The
+        matrix is canonical, identical across runs, when no (row, col) pair
+        is kept twice. That holds for each block: no two completions of a
+        phase reach the same phase, and the one completion that keeps its
+        phase, on a one-server line, lowers the level, so it never shares
+        a block with the diagonal.
         """
         from scipy import sparse  # here, not above: a line of one level never needs it
 

@@ -33,10 +33,11 @@ so they never appear). The size and density of A pick one of two solvers:
   multipliers, the sum of the products of neighbouring level sizes; no
   line above SPARSE_MIN_PHASES is densified whole.
 
-A is read as one list of (row, col, value) entries. The choice of
-solver counts them, level reduction scatters them into its levels, and
-every solver's answer passes the same residual and sign gate on them;
-GMRES alone takes A as CSR.
+A line of one level is solved from A as a dense array, a sparse A of
+that size densified first. Otherwise A is read as its entries, grouped by
+row as in CSR: the choice of solver counts them, level reduction scatters
+them into its levels, and every solver's answer passes the same residual
+and sign gate on them; GMRES alone takes A as a CSR matrix.
 
 scipy is imported inside the functions that use it, not here: scipy.sparse
 and scipy.sparse.linalg take about 0.2 s to import. Level reduction needs
@@ -124,23 +125,24 @@ def solve_stationary(
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
-    A may be dense or sparse. It is read as one list of (row, col, value)
-    entries: a dense A's nonzeros in row-major order, a sparse A's stored
-    entries as CSR. Its phase count and nonzeros per row pick the solver
-    (see the module docstring). ``phases``, the (M, K) phase array that
-    A's rows and columns follow, gives level reduction its levels above
-    SPARSE_MIN_PHASES and lets GMRES sweep in flow order; without it level
-    reduction takes blocks of A's bandwidth as its levels and GMRES sweeps
-    in A's own order. pi comes back in A's order either way. Raises
-    ValueError when A is not square, ``phases`` has not one row per phase,
-    or a transition of A moves the level by more than one;
-    SingularSystemError when A has a non-finite entry, when
-    a factorization fails, when a level's share of pi is not positive and
-    finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
-    relative to max|A| (rank deficiency beyond the expected
-    one-dimensional null space); NumericalError when GMRES does not
-    converge; and NonPositiveSolutionError when the solution carries an
-    entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
+    A may be dense or sparse; at or below SPARSE_MIN_PHASES phases it is
+    solved as a dense array, a sparse A densified, duplicates summed. It
+    is read as its entries grouped by row: a dense A's nonzeros in
+    row-major order, a larger sparse A's stored entries as CSR. Its phase
+    count and nonzeros per row pick the solver (see the module docstring).
+    ``phases``, the (M, K) phase array that A's rows and columns follow,
+    gives level reduction its levels above SPARSE_MIN_PHASES and lets
+    GMRES sweep in flow order; without it level reduction takes blocks of
+    A's bandwidth as its levels and GMRES sweeps in A's own order. pi
+    comes back in A's order either way. Raises ValueError when A is not
+    square, ``phases`` has not one row per phase, or a transition of A
+    moves the level by more than one; SingularSystemError when A has a
+    non-finite entry, when a factorization fails, when a level's share of
+    pi is not positive and finite, or when the residual is not finite or
+    exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond the
+    expected one-dimensional null space); NumericalError when GMRES does
+    not converge; and NonPositiveSolutionError when the solution carries
+    an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
     Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
@@ -152,16 +154,17 @@ def solve_stationary(
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
     # a sparse A was made by scipy.sparse, so it is loaded already
     sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(A):
+    if sparse is not None and sparse.issparse(A) and n > SPARSE_MIN_PHASES:
         if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
             A = sparse.csr_matrix(A, dtype=float)
-        rows, cols, rates = np.arange(n).repeat(np.diff(A.indptr)), A.indices, A.data
+        counts, cols, rates = np.diff(A.indptr), A.indices, A.data
     else:
+        if sparse is not None and sparse.issparse(A):
+            A = A.toarray()  # one level is solved dense; duplicates are summed
         A = np.asarray(A, dtype=float)
         # np.nonzero's order; its two-dimensional form takes ten times as long
         at = np.flatnonzero(A != 0.0)
-        rows, cols = np.divmod(at, n)
-        rates = A.ravel()[at]
+        counts, cols, rates = np.bincount(at // n, minlength=n), at % n, A.ravel()[at]
     scale = float(np.abs(rates).max(initial=0.0))
     if not math.isfinite(scale):
         raise SingularSystemError("generator has a non-finite entry")
@@ -172,9 +175,12 @@ def solve_stationary(
             A = sparse.csr_matrix(A)
         (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
     else:
-        dense = A if isinstance(A, np.ndarray) else None
-        pi, solver, iterations = _solve_levels(n, rows, cols, rates, phases, dense), "block-lu", 0
-    flow = np.bincount(cols, pi[rows] * rates, minlength=n)
+        if n <= SPARSE_MIN_PHASES:
+            levels = A, [], np.arange(n)  # one level, the top one: A as it stands
+        else:
+            levels = _reduce_levels(n, np.arange(n).repeat(counts), cols, rates, phases)
+        pi, solver, iterations = _solve_levels(*levels), "block-lu", 0
+    flow = np.bincount(cols, pi.repeat(counts) * rates, minlength=n)
     residual = float(abs(flow).max())
     if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
         raise SingularSystemError(
@@ -190,41 +196,15 @@ def solve_stationary(
     return StationaryVector(pi=pi, residual=residual, solver=solver, iterations=iterations)
 
 
-def _solve_levels(
-    n: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    rates: np.ndarray,
-    phases: np.ndarray | None = None,
-    dense: np.ndarray | None = None,
-) -> np.ndarray:
-    """pi A = 0, pi e = 1 by linear level reduction, for the n x n generator
-    A whose entries are (rows, cols, rates), a (row, col) pair given more
-    than once counting as the sum; pi in A's order. ``dense``, A itself as
-    a dense array if the caller has one, is read, never written: on a line
-    of one level it is the top level as it stands, so the entries are
-    neither sorted into levels nor scattered into a band again, which
-    saves an M x M array on every line of at most SPARSE_MIN_PHASES phases.
+def _solve_levels(S: np.ndarray, multipliers: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """pi A = 0, pi e = 1 by linear level reduction, given S of the top
+    level and the multipliers R_l of the levels below, reduced by
+    :func:`_reduce_levels`, and ``order``, A's phases level by level; pi
+    in A's order. On a line of one level, at or below SPARSE_MIN_PHASES
+    phases, S is A itself, read and never written.
 
-    At or below SPARSE_MIN_PHASES phases A is one level. Above, with
-    ``phases`` the level of a phase is its number of customers downstream
-    of the first station, a blocking sentinel B_i + 2 counting as the
-    B_i + 1 it holds. A completion moves one customer one station, perhaps
-    into the downstream stations or out of the line, so it moves that
-    headcount by at most one. Without them the levels are consecutive
-    blocks of A's order, each as wide as A's bandwidth max|i - j| (at
-    least 1), so that no nonzero reaches past the next block. Either way A
-    is block tridiagonal in its levels, and the cost is about the sum of
-    the cubes of the level sizes. Each level's rows are scattered from the
-    entries into one dense band, duplicates summed. Reducing from the
-    bottom, S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} =
-    A_{l+1,l+1} + R_l A_{l,l+1}: S_l is the level-l block of the chain
-    watched only on levels l and up, so S_l e + A_{l,l+1} e = 0. Its
-    off-diagonal entries are sums of non-negative terms, and its diagonal
-    is reset to minus their row sum and the row sum of A_{l,l+1} (the GTH
-    rule), which keeps each row's balance free of cancellation. The top
-    level, on one level the whole of A, is solved by the same step: with
-    the share of its last phase j fixed at 1, the others' are pi_o =
+    The top level is solved by the step that reduced the levels below:
+    with the share of its last phase j fixed at 1, the others' are pi_o =
     S_jo (-S_oo)^-1, an M-matrix solve with a non-negative right-hand side.
     Where pi spans past a double's range those shares overflow against an
     unlikely j, or come back as a wrong multiple with a negative sum; then
@@ -237,15 +217,9 @@ def _solve_levels(
     below the smallest double many levels down ([1]*4, B=[0,0,2000] gives
     NaN without it).
 
-    Raises ValueError when a transition of A moves the level by more than
-    one, and SingularSystemError when a level's elimination is exactly
-    singular or its mass is not positive and finite.
+    Raises SingularSystemError when the top level's solve is exactly
+    singular or a level's mass is not positive and finite.
     """
-    if dense is not None and n <= SPARSE_MIN_PHASES:
-        S, multipliers, order = dense, [], np.arange(n)
-    else:
-        S, multipliers, order = _reduce_levels(n, rows, cols, rates, phases)
-
     rolled = 0  # the top level, its last phase's share fixed at 1; S rolled this far
     for _ in range(len(S)):
         try:
@@ -272,7 +246,7 @@ def _solve_levels(
     top = max(log_scales)
     weights = [math.exp(s - top) for s in log_scales]
     total = sum(weights)
-    pi = np.empty(n)
+    pi = np.empty(len(order))
     pi[order] = np.concatenate([p * (w / total) for p, w in zip(parts[::-1], weights[::-1])])
     return pi
 
@@ -284,12 +258,34 @@ def _reduce_levels(
     rates: np.ndarray,
     phases: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The levels of :func:`_solve_levels` reduced from the bottom up:
-    (S of the top level, the multipliers R_l from level 0 up, the phases'
-    order level by level)."""
-    if n <= SPARSE_MIN_PHASES:
-        level = np.zeros(n, dtype=np.intp)
-    elif phases is None:
+    """The levels of the n x n generator A whose entries are (rows, cols,
+    rates), a (row, col) pair given more than once counting as the sum,
+    reduced from the bottom up: (S of the top level, the multipliers R_l
+    from level 0 up, the phases' order level by level), the arguments of
+    :func:`_solve_levels`.
+
+    With ``phases`` the level of a phase is its number of customers
+    downstream of the first station, a blocking sentinel B_i + 2 counting
+    as the B_i + 1 it holds. A completion moves one customer one station,
+    perhaps into the downstream stations or out of the line, so it moves
+    that headcount by at most one. Without them the levels are consecutive
+    blocks of A's order, each as wide as A's bandwidth max|i - j| (at
+    least 1), so that no nonzero reaches past the next block. Either way A
+    is block tridiagonal in its levels, and the cost is about the sum of
+    the cubes of the level sizes. Each level's rows are scattered from the
+    entries into one dense band, duplicates summed. Reducing from the
+    bottom, S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} =
+    A_{l+1,l+1} + R_l A_{l,l+1}: S_l is the level-l block of the chain
+    watched only on levels l and up, so S_l e + A_{l,l+1} e = 0. Its
+    off-diagonal entries are sums of non-negative terms, and its diagonal
+    is reset to minus their row sum and the row sum of A_{l,l+1} (the GTH
+    rule), which keeps each row's balance free of cancellation.
+
+    Raises ValueError when a transition of A moves the level by more than
+    one, and SingularSystemError when a level's elimination is exactly
+    singular.
+    """
+    if phases is None:
         level = np.arange(n) // max(int(abs(rows - cols).max(initial=0)), 1)
     else:
         level = np.minimum(phases, phases.max(axis=0) - 1).sum(axis=1)

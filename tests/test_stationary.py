@@ -24,7 +24,7 @@ from tandemqbd import (
     validate_config,
 )
 from tandemqbd import stationary
-from tandemqbd.stationary import SPARSE_MIN_PHASES, _solve_gmres, _solve_levels
+from tandemqbd.stationary import SPARSE_MIN_PHASES, _reduce_levels, _solve_gmres, _solve_levels
 
 
 def generator_for(rates, buffers):
@@ -321,7 +321,7 @@ def test_levels_match_lu_oracle(rates, buffers):
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     lu_rate = sparse_lu(A) @ down
     coo = A.tocoo()
-    pi = _solve_levels(A.shape[0], coo.row, coo.col, coo.data, space.phases)
+    pi = _solve_levels(*_reduce_levels(A.shape[0], coo.row, coo.col, coo.data, space.phases))
     assert abs(pi @ down - lu_rate) <= 1e-12 * lu_rate
 
 
@@ -453,8 +453,9 @@ def test_top_level_pins_its_likeliest_phase_above_other_levels():
 
 def test_one_input_form():
     # a dense array, a canonical CSR, a CSR with one entry split into two
-    # duplicates and a shuffled COO are read as the same CSR: the same pi to
-    # the bit, and the caller's arrays are left as they were
+    # duplicates and a shuffled COO of one level are solved as the same
+    # dense array: the same pi to the bit, and the caller's arrays are left
+    # as they were
     A = generator_for([0.8, 1.0, 1.3], [1, 2])
     canonical = sparse.csr_matrix(A)
     k = canonical.indptr[2]  # the first entry of row 2, in two exact halves
