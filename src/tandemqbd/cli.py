@@ -65,6 +65,12 @@ def _config_from_args(args: argparse.Namespace) -> TandemConfig:
     return validate_config(rates, buffers)
 
 
+def _check_max_states(args: argparse.Namespace) -> None:
+    # checked before any line, so that no line is refused by a cap of 0
+    if args.max_states < 1:
+        raise InputError(f"--max-states must be at least 1, got {args.max_states}")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", help="comma-separated service rates, first server first")
     parser.add_argument(
@@ -76,6 +82,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _check_max_states(args)
     config = _config_from_args(args)
     report = lambda_max(config, max_phases=args.max_states)
     if args.dump_blocks:
@@ -106,6 +113,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_max_states(args)
     server_counts = _parse_server_counts(args.servers)
     mu0_values = _parse_list(args.mu0, float, "numbers")
     if not mu0_values:
@@ -164,6 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_phases(args: argparse.Namespace) -> int:
+    _check_max_states(args)
     if args.k < 0:
         raise InputError("--k must be non-negative")
     if args.buffer < 0:

@@ -95,11 +95,12 @@ class QbdBlocks:
 def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     """List the rate entries of the repeating generator rows.
 
-    The completion rule runs on all (phase, eligible server) pairs at once,
-    its release cascade as at most K masked passes toward the front. Exit
-    rates are summed in server order. Raises ValueError when ``space`` was
-    enumerated for other buffer capacities; its rates may differ, since the
-    phases do not depend on them.
+    The completion rule runs on all (phase, eligible server) pairs at once.
+    Its release cascade steps toward the front one coordinate a pass, over
+    only the entries still releasing, until none is left. Exit rates are
+    summed in server order. Raises ValueError when ``space`` was
+    enumerated for other buffer capacities; its rates may differ, since
+    the phases do not depend on them.
     """
     if space.config.buffer_capacities != config.buffer_capacities:
         raise ValueError(
@@ -107,11 +108,12 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
             f"not {list(config.buffer_capacities)}"
         )
     caps = np.asarray(config.buffer_capacities, dtype=np.int64)
+    sentinel = caps + 2
     phases = space.phases
     n, k = phases.shape
     always = np.ones((n, 1), dtype=bool)
     has_customer = np.hstack([always, phases != 0])  # column i: station i
-    unblocked = np.hstack([phases != caps + 2, always])  # column i: server i
+    unblocked = np.hstack([phases != sentinel, always])  # column i: server i
     rows, servers = np.nonzero(has_customer & unblocked)  # row-major order
     # each target is tracked by its position, starting at the source's row:
     # coordinate i stepping between 0 and 1 moves it by rank_weights'
@@ -125,18 +127,21 @@ def build_blocks(config: TandemConfig, space: PhaseSpace) -> QbdBlocks:
     was = phases[rows[moving], at]
     releasing[moving] = was <= caps[at]
     cols[moving] += np.where(was == 0, from_zero[at], step[at])
-    station = servers.copy()  # the station that lost a customer
-    for _ in range(k):
-        # its coordinate drops by one: a count falls, or a sentinel turns
-        # "full" as the customer held upstream slides in, releasing the
-        # station before it in turn. The cascade only visits coordinates
-        # below the raised one, so phases still holds their values
-        live = np.flatnonzero(releasing & (station > 0))
-        j = station[live] - 1  # coordinate of station j + 1
+    # the cascade, one coordinate a pass over the entries still releasing:
+    # the coordinate of the station that lost a customer drops by one. A
+    # count falls and the cascade ends; a sentinel turns "full" as the
+    # customer held upstream slides in, and the station before it loses
+    # that customer in turn. It only visits coordinates below the raised
+    # one, so phases still holds their values
+    live = np.flatnonzero(releasing & (servers > 0))
+    j = servers[live] - 1  # coordinate of station j + 1
+    while len(live):
         was = phases[rows[live], j]
-        releasing[live] = was == caps[j] + 2
         cols[live] -= np.where(was == 1, from_zero[j], step[j])
-        station[live] = j
+        blocked = was == sentinel[j]
+        releasing[live] = blocked
+        blocked &= j > 0
+        live, j = live[blocked], j[blocked] - 1
     rates = np.asarray(config.service_rates)[servers]
     exit_rate = np.bincount(rows, weights=rates, minlength=n)
     # the diagonal, which keeps the level, balances the row sums

@@ -10,7 +10,8 @@ coordinates and makes the count grow slower than the raw product.
 A phase space is one (M, K) integer array, a phase per row, in ascending
 lexicographic order. A phase's position in that order is a sum of one term
 per coordinate, with weights from the recurrence that counts the phases
-(:func:`rank_weights`), so no lookup table is needed to find a row.
+(:func:`rank_weights`), so no lookup table is needed to find a row, and
+the same weights decode each row from its position.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,11 +142,23 @@ def enumerate_phases(
 ) -> PhaseSpace:
     """Enumerate all valid phases of ``config`` in lexicographic order.
 
-    A line with more than ``max_phases`` phases raises
-    StateSpaceTooLargeError before anything is allocated. Rows grow one
-    coordinate at a time: each row is repeated once per value of the new
-    coordinate, and rows where it blocks an empty station are dropped.
+    A cap below 1 raises InputError, and a line with more than
+    ``max_phases`` phases, or one whose array would not fit in the address
+    space, raises StateSpaceTooLargeError, both before anything is
+    allocated; so does an allocation that fails on the way. The rows are
+    decoded from their positions, :meth:`PhaseSpace.index` run backwards
+    one coordinate at a time with the weights of :func:`rank_weights`:
+    with the tails left to place numbered from 0, the first first[i + 1]
+    have coordinate i at 0 and leave the number as it is; past those,
+    each block of rest[i + 1] is one more customer, and the number becomes
+    the place within the block. No sentinel comes up behind an empty
+    station, since first[i + 1] counts only the tails that bar it.
     """
+    if max_phases < 1:
+        raise InputError(
+            f"max_phases (--max-states on the command line) must be at least 1, "
+            f"got {max_phases}"
+        )
     caps = config.buffer_capacities
     log_count = _log10_count(caps)
     # past 10^16 phases, far above any cap below 10^15, the float count is
@@ -160,12 +174,27 @@ def enumerate_phases(
             f"line has {shown} phases, above the cap of {max_phases}; raise "
             "max_phases (--max-states on the command line) to analyze this line"
         )
-    phases = np.zeros((1, 0), dtype=np.int64)
-    for i, b in enumerate(caps):
-        values = np.tile(np.arange(b + 3, dtype=np.int64), len(phases))
-        phases = np.column_stack([np.repeat(phases, b + 3, axis=0), values])
-        if i > 0:
-            phases = phases[(values != b + 2) | (phases[:, i - 1] != 0)]
+    k = len(caps)
+    if count * k * 8 > sys.maxsize:
+        raise StateSpaceTooLargeError(
+            f"line has {shown} phases, whose array of {count * k * 8:.3e} bytes "
+            "is past what this platform can address"
+        )
+    first, rest = rank_weights(caps)
+    try:
+        phases = np.empty((count, k), dtype=np.int64)  # the largest array first
+        position = np.arange(count, dtype=np.int64)
+        for i, column in enumerate(phases.T):
+            # shifted by rest - first, the numbers below first (a 0 here) end
+            # the first block of rest, quotient 0, and each later block is
+            # one more customer; a 0 keeps the number as it was, unshifted
+            shift = rest[i + 1] - first[i + 1]
+            np.divmod(position + shift, rest[i + 1], out=(column, position))
+            np.subtract(position, shift, out=position, where=column == 0)
+    except MemoryError as exc:
+        raise StateSpaceTooLargeError(
+            f"line has {shown} phases, more than memory holds for their array"
+        ) from exc
     phases.flags.writeable = False
     return PhaseSpace(config=config, phases=phases)
 

@@ -33,11 +33,14 @@ so they never appear). The size and density of A pick one of two solvers:
   multipliers, the sum of the products of neighbouring level sizes; no
   line above SPARSE_MIN_PHASES is densified whole.
 
-A line of one level is solved from A as a dense array, a sparse A of
-that size densified first. Otherwise A is read as its entries, grouped by
-row as in CSR: the choice of solver counts them, level reduction scatters
-them into its levels, and every solver's answer passes the same residual
-and sign gate on them; GMRES alone takes A as a CSR matrix.
+A line of one level is solved directly from A as a dense array, a sparse
+A of that size densified first: the top level's step runs on A as it
+stands, max|A| is read from A's largest and smallest entries and the
+residual is the product pi A, so no n x n temporary is made. A larger A
+is read as its entries, grouped by row as in CSR: the choice of solver
+counts them, level reduction scatters them into its levels, and the
+residual is summed from them; GMRES alone takes A as a CSR matrix. Every
+answer passes the same residual and sign gate.
 
 scipy is imported inside the functions that use it, not here: scipy.sparse
 and scipy.sparse.linalg take about 0.2 s to import. Level reduction needs
@@ -126,10 +129,10 @@ def solve_stationary(
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
     A may be dense or sparse; at or below SPARSE_MIN_PHASES phases it is
-    solved as a dense array, a sparse A densified, duplicates summed. It
-    is read as its entries grouped by row: a dense A's nonzeros in
-    row-major order, a larger sparse A's stored entries as CSR. Its phase
-    count and nonzeros per row pick the solver (see the module docstring).
+    solved as one dense level, a sparse A densified, duplicates summed.
+    Above, it is read as its entries grouped by row: a dense A's nonzeros
+    in row-major order, a sparse A's stored entries as CSR, and their
+    count per row picks the solver (see the module docstring).
     ``phases``, the (M, K) phase array that A's rows and columns follow,
     gives level reduction its levels above SPARSE_MIN_PHASES and lets
     GMRES sweep in flow order; without it level reduction takes blocks of
@@ -154,34 +157,35 @@ def solve_stationary(
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
     # a sparse A was made by scipy.sparse, so it is loaded already
     sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(A) and n > SPARSE_MIN_PHASES:
-        if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
-            A = sparse.csr_matrix(A, dtype=float)
-        counts, cols, rates = np.diff(A.indptr), A.indices, A.data
-    else:
+    if n <= SPARSE_MIN_PHASES:
         if sparse is not None and sparse.issparse(A):
             A = A.toarray()  # one level is solved dense; duplicates are summed
         A = np.asarray(A, dtype=float)
-        # np.nonzero's order; its two-dimensional form takes ten times as long
-        at = np.flatnonzero(A != 0.0)
-        counts, cols, rates = np.bincount(at // n, minlength=n), at % n, A.ravel()[at]
-    scale = float(np.abs(rates).max(initial=0.0))
-    if not math.isfinite(scale):
-        raise SingularSystemError("generator has a non-finite entry")
-    if n > SPARSE_MIN_PHASES and len(rates) > ITERATIVE_MIN_ROW_NNZ * n:
-        if isinstance(A, np.ndarray):
-            from scipy import sparse
-
-            A = sparse.csr_matrix(A)
-        (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
+        scale = _entry_scale(max(A.max(), -A.min()))
+        pi, solver, iterations = _solve_top(A), "block-lu", 0
+        residual = float(abs(pi @ A).max())
     else:
-        if n <= SPARSE_MIN_PHASES:
-            levels = A, [], np.arange(n)  # one level, the top one: A as it stands
+        if sparse is not None and sparse.issparse(A):
+            if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
+                A = sparse.csr_matrix(A, dtype=float)
+            counts, cols, rates = np.diff(A.indptr), A.indices, A.data
+        else:
+            A = np.asarray(A, dtype=float)
+            # np.nonzero's order; its two-dimensional form takes ten times as long
+            at = np.flatnonzero(A != 0.0)
+            counts, cols, rates = np.bincount(at // n, minlength=n), at % n, A.ravel()[at]
+        scale = _entry_scale(np.abs(rates).max(initial=0.0))
+        if len(rates) > ITERATIVE_MIN_ROW_NNZ * n:
+            if isinstance(A, np.ndarray):
+                from scipy import sparse
+
+                A = sparse.csr_matrix(A)
+            (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
         else:
             levels = _reduce_levels(n, np.arange(n).repeat(counts), cols, rates, phases)
-        pi, solver, iterations = _solve_levels(*levels), "block-lu", 0
-    flow = np.bincount(cols, pi.repeat(counts) * rates, minlength=n)
-    residual = float(abs(flow).max())
+            pi, solver, iterations = _solve_levels(*levels), "block-lu", 0
+        flow = np.bincount(cols, pi.repeat(counts) * rates, minlength=n)
+        residual = float(abs(flow).max())
     if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
         raise SingularSystemError(
             f"stationary residual {residual:.3e} is not within {RESIDUAL_RTOL:.0e} "
@@ -196,31 +200,31 @@ def solve_stationary(
     return StationaryVector(pi=pi, residual=residual, solver=solver, iterations=iterations)
 
 
-def _solve_levels(S: np.ndarray, multipliers: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """pi A = 0, pi e = 1 by linear level reduction, given S of the top
-    level and the multipliers R_l of the levels below, reduced by
-    :func:`_reduce_levels`, and ``order``, A's phases level by level; pi
-    in A's order. On a line of one level, at or below SPARSE_MIN_PHASES
-    phases, S is A itself, read and never written.
+def _entry_scale(largest: float) -> float:
+    """max|A| as a float; SingularSystemError when it is not finite."""
+    scale = float(largest)
+    if not math.isfinite(scale):
+        raise SingularSystemError("generator has a non-finite entry")
+    return scale
 
-    The top level is solved by the step that reduced the levels below:
-    with the share of its last phase j fixed at 1, the others' are pi_o =
-    S_jo (-S_oo)^-1, an M-matrix solve with a non-negative right-hand side.
-    Where pi spans past a double's range those shares overflow against an
-    unlikely j, or come back as a wrong multiple with a negative sum; then
-    the likeliest phase found is rolled last and pinned instead, and the
-    shares are rolled back before the levels below use them ([1, 1e6],
-    B=50 overflows with its blocked phase pinned; no line of 4,000 stiff
-    ones of at most 250 phases needed a second retry). The rest is
-    back-substituted, pi_l = pi_{l+1} R_l, each level normalised as it
-    comes with its log scale carried along: the mass of a level can fall
-    below the smallest double many levels down ([1]*4, B=[0,0,2000] gives
-    NaN without it).
 
-    Raises SingularSystemError when the top level's solve is exactly
-    singular or a level's mass is not positive and finite.
+def _solve_top(S: np.ndarray) -> np.ndarray:
+    """The shares of the top level's phases, summing to one, from S, the
+    level's block of the chain watched on that level alone (on a line of
+    one level, A itself); S is read and never written.
+
+    The share of S's last phase j is fixed at 1 and the others' are pi_o
+    = S_jo (-S_oo)^-1, an M-matrix solve with a non-negative right-hand
+    side. Where pi spans past a double's range those shares overflow
+    against an unlikely j, or come back as a wrong multiple with a
+    negative sum; then the likeliest phase found is rolled last and
+    pinned instead, and the shares are rolled back ([1, 1e6], B=50
+    overflows with its blocked phase pinned; no line of 4,000 stiff ones
+    of at most 250 phases needed a second retry). Raises
+    SingularSystemError when the solve is exactly singular or no phase
+    gives a positive, finite sum.
     """
-    rolled = 0  # the top level, its last phase's share fixed at 1; S rolled this far
+    rolled = 0  # S rolled this far
     for _ in range(len(S)):
         try:
             x = np.append(np.linalg.solve(S[:-1, :-1].T, -S[-1, :-1]), 1.0)
@@ -235,7 +239,25 @@ def _solve_levels(S: np.ndarray, multipliers: list[np.ndarray], order: np.ndarra
         S, rolled = np.roll(S, shift, (0, 1)), rolled + shift
     else:
         raise SingularSystemError(f"a level of the stationary vector has mass {mass:.3e}")
-    parts, log_scales = [(np.roll(x, -rolled) if rolled else x) / mass], [0.0]
+    return (np.roll(x, -rolled) if rolled else x) / mass
+
+
+def _solve_levels(S: np.ndarray, multipliers: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """pi A = 0, pi e = 1 by linear level reduction, given S of the top
+    level and the multipliers R_l of the levels below, reduced by
+    :func:`_reduce_levels`, and ``order``, A's phases level by level; pi
+    in A's order.
+
+    The top level is solved by :func:`_solve_top`, the step that reduced
+    the levels below. The rest is back-substituted, pi_l = pi_{l+1} R_l,
+    each level normalised as it comes with its log scale carried along:
+    the mass of a level can fall below the smallest double many levels
+    down ([1]*4, B=[0,0,2000] gives NaN without it).
+
+    Raises SingularSystemError when the top level's solve is exactly
+    singular or a level's mass is not positive and finite.
+    """
+    parts, log_scales = [_solve_top(S)], [0.0]
     for R in reversed(multipliers):
         x = parts[-1] @ R
         mass = float(x.sum())

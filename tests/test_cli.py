@@ -376,6 +376,30 @@ def test_phases_list(capsys):
     assert "2,2" in lines[1:]
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--mu", "1,1,1", "--buffers", "0"],
+        ["sweep", "--servers", "3..6", "--mu0", "1"],
+        ["phases", "--k", "2"],
+    ],
+)
+def test_cap_below_one_exits_two_before_any_line(capsys, command, cap):
+    # it said "line has 8 phases, above the cap of -5; raise max_phases"
+    code, out, err = run(capsys, *command, "--max-states", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-states must be at least 1, got {cap}\n"
+
+
+def test_phases_past_memory_exits_two(capsys):
+    # under an address-space limit it ended in a raw _ArrayMemoryError
+    # traceback, exit 1
+    code, out, err = run(capsys, "phases", "--k", "40", "--max-states", str(10**18))
+    assert (code, out) == (2, "")
+    assert "about 10^16 phases" in err and "bytes" in err
+
+
 def test_phases_over_cap_message_is_short(capsys):
     code, out, err = run(capsys, "phases", "--k", "1200")
     assert code == 2

@@ -2,13 +2,17 @@
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemqbd import (
+    InputError,
     InvalidPhaseError,
     NegativeBufferError,
     StateSpaceTooLargeError,
@@ -67,6 +71,14 @@ def test_enumeration_matches_brute_force(buffers):
     expected = brute_force_phases(buffers)
     assert [tuple(m) for m in space.phases.tolist()] == expected
     assert count_phases(buffers) == space.num_phases == len(expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_enumeration_matches_brute_force_on_random_lines(buffers):
+    rows = [tuple(m) for m in enumerate_phases(line(buffers)).phases.tolist()]
+    assert rows == brute_force_phases(buffers)
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly increasing
 
 
 def test_phases_sorted_and_indexed():
@@ -165,6 +177,53 @@ def test_state_space_cap():
         assert tracemalloc.get_traced_memory()[1] < 1_000_000
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_is_an_input_error(cap):
+    # it said "line has 3 phases, above the cap of -5"
+    message = f"(--max-states on the command line) must be at least 1, got {cap}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        enumerate_phases(line([0]), max_phases=cap)
+
+
+@pytest.mark.parametrize(
+    "buffers, cap, shown",
+    [([0] * 40, 10**18, "about 10^16 phases, whose array of 1.962e+19 bytes"),
+     ([0] * 60, 10**30, "about 10^25 phases, whose array of 6.734e+27 bytes")],
+)
+def test_array_past_the_address_space_is_refused_on_its_count(buffers, cap, shown):
+    # past sys.maxsize bytes; under a small address-space limit the first
+    # ended in a raw _ArrayMemoryError traceback
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError, match=re.escape(shown)):
+            enumerate_phases(line(buffers), max_phases=cap)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_failed_allocation_is_refused_with_its_count():
+    # 3.4e15 phases, 1.0e18 bytes: below sys.maxsize but past any address
+    # space, so the first allocation fails at once, before a byte is touched
+    with pytest.raises(StateSpaceTooLargeError, match=r"about 10\^15 phases, more than memory"):
+        enumerate_phases(line([0] * 37), max_phases=10**18)
+
+
+def test_enumeration_peaks_near_its_array():
+    # 151,316 phases: the 10.9 MB array, a position counter and one
+    # temporary of it, 1.22 times the array when measured; growing the rows
+    # one station at a time peaked at 2.38 times
+    config = line([1] * 9)
+    tracemalloc.start()
+    try:
+        space = enumerate_phases(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.num_phases == 151_316
+    assert peak <= 1.35 * space.phases.nbytes
 
 
 def test_float_count_matches_exact_count():

@@ -451,6 +451,21 @@ def test_top_level_pins_its_likeliest_phase_above_other_levels():
     np.testing.assert_allclose(pi[seen], want[seen], rtol=1e-12, atol=0.0)
 
 
+def test_one_level_solve_allocates_no_square_array():
+    # 209 phases: the generator is 349,448 bytes; reading it as a list of
+    # entries peaked at 51,193, the direct solve at 5,360 when measured
+    A = generator_for([1.0] * 5, [1] * 4)
+    assert A.shape == (209, 209)
+    solve_stationary(A)
+    tracemalloc.start()
+    try:
+        solve_stationary(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_900
+
+
 def test_one_input_form():
     # a dense array, a canonical CSR, a CSR with one entry split into two
     # duplicates and a shuffled COO of one level are solved as the same
