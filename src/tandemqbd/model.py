@@ -48,6 +48,30 @@ class TandemConfig:
         return len(self.buffer_capacities)
 
 
+def as_float(raw: object, name: str, error: type[InputError] = InputError) -> float:
+    """``raw`` as a float: a number that ``float()`` converts. A bool (a
+    numpy one too), a string, None and an integer beyond the float range
+    raise ``error``."""
+    try:
+        if isinstance(raw, (bool, np.bool_, str, bytes, bytearray)):
+            raise TypeError
+        return float(raw)
+    except OverflowError:
+        raise error(f"{name} is beyond the float range") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {raw!r}") from None
+
+
+def as_int(raw: object, name: str) -> int:
+    """``raw`` as an int: an integer, not a bool, a float or a string."""
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        return operator.index(raw)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def validate_config(
     raw_rates: Sequence[float], raw_buffers: Sequence[int]
 ) -> TandemConfig:
@@ -61,14 +85,7 @@ def validate_config(
     """
     rates, total = [], 0.0
     for i, raw in enumerate(raw_rates):
-        try:
-            if isinstance(raw, (bool, np.bool_, str, bytes, bytearray)):
-                raise TypeError
-            r = float(raw)
-        except OverflowError:
-            raise NonPositiveRateError(f"service rate {i} is beyond the float range") from None
-        except (TypeError, ValueError):
-            raise NonPositiveRateError(f"service rate {i} must be a number, got {raw!r}") from None
+        r = as_float(raw, f"service rate {i}", NonPositiveRateError)
         if not (math.isfinite(r) and r > 0.0):
             raise NonPositiveRateError(
                 f"service rate {i} must be a positive finite number, got {r!r}"
@@ -81,14 +98,7 @@ def validate_config(
     # finite too
     if math.isinf(total):
         raise NonPositiveRateError("the service rates sum past the largest double")
-    buffers = []
-    for i, raw in enumerate(raw_buffers):
-        try:
-            if isinstance(raw, bool):
-                raise TypeError
-            buffers.append(operator.index(raw))
-        except TypeError:
-            raise InputError(f"buffer {i} must be an integer, got {raw!r}") from None
+    buffers = [as_int(raw, f"buffer {i}") for i, raw in enumerate(raw_buffers)]
     if len(rates) != len(buffers) + 1:
         raise LengthMismatchError(
             f"{len(rates)} service rates require {len(rates) - 1} buffer "

@@ -16,7 +16,15 @@ customer n, or -inf when the first station never runs dry. The recursion
 needs only the last B_{i+1} + 1 departure times of each station, and holds
 no more than the run has produced, so memory is
 O(K + sum_i min(B_i + 1, customers)): bounded however long the run, and
-however large the buffers.
+however large the buffers. Nothing blocks the last station, so the
+recursion runs its blocking step over stations 0..K-1 only and closes the
+last with D_K(n) = C_K(n).
+
+Customers leave every station in arrival order (D_i(n) >= D_i(n-1)), and
+leave the line no earlier than station 0 (D_K(n) >= D_0(n)). So the
+customers gone from station 0, and those gone from the line, by a horizon
+are prefixes of the run: the arrival run counts each as the number of the
+last customer in it, not with a tally per customer.
 
 The module works on customers and their times, not on the encoded phases,
 and shares no code with the analytic kernel: the two are written twice so
@@ -50,11 +58,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, NegativeArrivalRateError, TargetTooSmallError
-from .model import TandemConfig
+from .model import TandemConfig, as_float, as_int
 
 MIN_TARGET_DEPARTURES = 10_000
-# about 20 minutes at the 9 * 10^5 departures/s of [0.8,1,1], B=1 at 10^6
-# departures on a 2-vCPU host (7.7 * 10^5 with six servers)
+# with the warm-up, about 10 minutes at the 1.75 * 10^6 departures/s of
+# [0.8,1,1], B=1 at 10^6 departures on a 2-vCPU host (20 minutes at the
+# 9 * 10^5 of six servers)
 MAX_TARGET_DEPARTURES = 10**9
 MAX_EXPECTED_ARRIVALS = 10**9  # arrival_rate * horizon; more would run for hours
 WARMUP_FRACTION = 0.1
@@ -134,7 +143,8 @@ def _departures(
     and, before station i takes customer n, ``rings[i][0]`` is
     D_i(n - B_i - 1). Times before the first customer read as 0: a ring
     starts as one 0 that stays at its head until the ring fills. Nothing
-    beyond the last station blocks it.
+    beyond the last station blocks it, so it runs outside the blocking
+    loop: D_K(n) = C_K(n).
     """
     # a ring holds at most one time per customer, so sys.maxsize (deque's
     # largest maxlen) caps a longer one without changing it
@@ -143,16 +153,19 @@ def _departures(
         for b in (0, *config.buffer_capacities)
     ]
     draws = [s.__next__ for s in streams]
-    stages = list(zip(rings, rings[1:] + [(-math.inf,)], draws))
-    first = rings[0]
+    blocking = list(zip(rings, rings[1:], draws))  # stations 0..K-1
+    first, last, last_draw = rings[0], rings[-1], draws[-1]
     for a in arrival_times:
         d = a
-        for ring, below, draw in stages:
+        for ring, below, draw in blocking:
             prev = ring[-1]
             c = (d if d > prev else prev) + draw()
             free = below[0]
             d = c if c > free else free
             ring.append(d)
+        prev = last[-1]
+        d = (d if d > prev else prev) + last_draw()
+        last.append(d)
         yield a, first[-1], d
 
 
@@ -168,6 +181,8 @@ def simulate_saturated(
     of them, which must lie between MIN_TARGET_DEPARTURES and
     MAX_TARGET_DEPARTURES.
     """
+    target_departures = as_int(target_departures, "the departure target")
+    seed = as_int(seed, "seed")
     if target_departures < MIN_TARGET_DEPARTURES:
         raise TargetTooSmallError(
             f"need at least {MIN_TARGET_DEPARTURES} departures, "
@@ -248,34 +263,44 @@ def simulate_with_arrivals(
     The level (headcount at station 0, held customer included) stays
     bounded for arrival rates below the saturation rate and drifts upward
     roughly like (rate - saturation rate) * horizon above it; this run
-    exists to demonstrate that empirically.
+    exists to demonstrate that empirically. The result echoes ``horizon``
+    as given; the run takes it as a float.
     """
+    arrival_rate = as_float(arrival_rate, "arrival rate")
+    t_end = as_float(horizon, "horizon")
+    seed = as_int(seed, "seed")
     if arrival_rate < 0.0:
         raise NegativeArrivalRateError(
             f"arrival rate must be non-negative, got {arrival_rate}"
         )
     if not math.isfinite(arrival_rate):
         raise InputError(f"arrival rate must be finite, got {arrival_rate}")
-    if not 0.0 < horizon < math.inf:
+    if not 0.0 < t_end < math.inf:
         raise InputError(f"horizon must be positive and finite, got {horizon}")
-    if not arrival_rate * horizon <= MAX_EXPECTED_ARRIVALS:
+    if not arrival_rate * t_end <= MAX_EXPECTED_ARRIVALS:
         raise InputError(f"arrival_rate * horizon exceeds {MAX_EXPECTED_ARRIVALS:.0e}")
     streams, spare = _spawn_streams(config, seed, extra=1)
     arrival_times = (
-        _arrival_times(_exp_draws(spare[0], arrival_rate), horizon)
+        _arrival_times(_exp_draws(spare[0], arrival_rate), t_end)
         if arrival_rate > 0.0
         else ()
     )
 
-    area = 0.0  # integral of the level over [0, horizon]
+    # those gone from station 0, and from the line, by t_end are prefixes of
+    # the run (see the module docstring)
+    area = 0.0  # integral of the level over [0, t_end]
     arrivals = left_first = departures = 0
-    for a, d_first, d_last in _departures(config, streams, arrival_times):
-        arrivals += 1
-        left_first += d_first <= horizon
-        departures += d_last <= horizon
-        area += min(d_first, horizon) - a
+    customers = _departures(config, streams, arrival_times)
+    for arrivals, (a, d_first, d_last) in enumerate(customers, 1):
+        if d_first <= t_end:
+            area += d_first - a
+            left_first = arrivals
+            if d_last <= t_end:
+                departures = arrivals
+        else:
+            area += t_end - a
     return ArrivalSimResult(
-        mean_level=area / horizon,
+        mean_level=area / t_end,
         final_level=arrivals - left_first,
         departures=departures,
         arrivals=arrivals,

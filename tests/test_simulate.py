@@ -7,7 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrival_oracle import arrival_run
 from tandemqbd import simulate
 from tandemqbd import (
     InputError,
@@ -136,6 +139,80 @@ def test_arrivals_input_checks():
             simulate_with_arrivals(cfg, rate, horizon, seed=0)
     with pytest.raises(NegativeArrivalRateError):
         simulate_with_arrivals(cfg, -math.inf, 10.0, seed=0)
+
+
+@pytest.mark.parametrize("target", [20_000.0, "20000", True])
+def test_departure_target_must_be_an_integer(target):
+    with pytest.raises(InputError, match="must be an integer"):
+        simulate_saturated(line([1.0], []), target, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, None, "3", True])
+def test_seed_must_be_an_integer(seed):
+    cfg = line([1.0], [])
+    with pytest.raises(InputError, match="seed must be an integer"):
+        simulate_saturated(cfg, 10_000, seed=seed)
+    with pytest.raises(InputError, match="seed must be an integer"):
+        simulate_with_arrivals(cfg, 0.5, 10.0, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "rate, horizon",
+    [("1", 10.0), (None, 10.0), (True, 10.0), (0.5, "10"), (0.5, True), (0.5, 10**400)],
+    ids=["rate str", "rate None", "rate bool", "horizon str", "horizon bool", "horizon 10**400"],
+)
+def test_arrival_rate_and_horizon_must_be_numbers(rate, horizon):
+    with pytest.raises(InputError, match="must be a number|beyond the float range"):
+        simulate_with_arrivals(line([1.0], []), rate, horizon, seed=0)
+
+
+@st.composite
+def arrival_runs(draw):
+    """A line of 1 to 5 servers, an arrival rate from 0 to 1.5 times its
+    slowest rate (above saturation) and an int or float horizon that lets
+    in at most about 600 customers."""
+    servers = draw(st.integers(1, 5))
+    buffers = draw(st.lists(st.integers(0, 6), min_size=servers - 1, max_size=servers - 1))
+    if buffers and draw(st.booleans()):
+        buffers[draw(st.integers(0, servers - 2))] = 10**12
+    rates = draw(st.lists(st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+                          min_size=servers, max_size=servers))
+    slowest = min(rates)
+    arrival_rate = draw(st.just(0.0) | st.floats(0.0, 1.5)) * slowest
+    customers = draw(st.integers(1, 400))
+    horizon = draw(st.sampled_from([customers / slowest, max(1, round(customers / slowest))]))
+    return line(rates, buffers), arrival_rate, horizon, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arrival_runs())
+def test_arrival_counts_match_the_customer_by_customer_oracle(run):
+    cfg, arrival_rate, horizon, seed = run
+    assert repr(simulate_with_arrivals(cfg, arrival_rate, horizon, seed=seed)) == repr(
+        arrival_run(cfg, arrival_rate, horizon, seed=seed)
+    )
+
+
+@pytest.mark.parametrize(
+    "rates, buffers",
+    [([1.0], []), ([1.0, 0.9, 1.1], [1, 1]), ([0.8, 1.0, 1.0], [0, 10**12])],
+)
+def test_a_customer_leaving_at_the_horizon_is_counted(rates, buffers):
+    # customer n's times depend on the customers before it only, so a run
+    # that ends at its exact D_0 or D_K still has it, with the same times
+    cfg, arrival_rate, seed = line(rates, buffers), 0.9, 8
+    streams, spare = simulate._spawn_streams(cfg, seed, extra=1)
+    arrivals = simulate._arrival_times(simulate._exp_draws(spare[0], arrival_rate), 1e4)
+    customers = itertools.islice(simulate._departures(cfg, streams, arrivals), 100)
+    n, (a, d_first, d_last) = next(
+        (n, c) for n, c in enumerate(customers, 1) if 5 < n and c[0] < c[1]
+    )
+    at_first = simulate_with_arrivals(cfg, arrival_rate, d_first, seed=seed)
+    assert at_first.arrivals - at_first.final_level == n
+    at_last = simulate_with_arrivals(cfg, arrival_rate, d_last, seed=seed)
+    assert at_last.departures == n
+    for horizon, result in ((d_first, at_first), (d_last, at_last)):
+        assert repr(result) == repr(arrival_run(cfg, arrival_rate, horizon, seed=seed))
 
 
 def test_seeded_outputs_are_pinned():
