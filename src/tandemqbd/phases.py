@@ -32,7 +32,7 @@ from .errors import (
     NegativeBufferError,
     StateSpaceTooLargeError,
 )
-from .model import TandemConfig
+from .model import TandemConfig, as_int
 
 # sized for both solvers of the stationary solve on a 2-vCPU host with
 # 7 GB: `analyze` solves [1]*10, B=1 (151,316 phases) by GMRES in
@@ -142,10 +142,11 @@ def enumerate_phases(
 ) -> PhaseSpace:
     """Enumerate all valid phases of ``config`` in lexicographic order.
 
-    A cap below 1 raises InputError, and a line with more than
-    ``max_phases`` phases, or one whose array would not fit in the address
-    space, raises StateSpaceTooLargeError, both before anything is
-    allocated; so does an allocation that fails on the way. The rows are
+    A cap that is not an integer (a bool included) or is below 1 raises
+    InputError, and a line with more than ``max_phases`` phases, or one
+    whose array would not fit in the address space, raises
+    StateSpaceTooLargeError, both before anything is allocated; so does
+    an allocation that fails on the way. The rows are
     decoded from their positions, :meth:`PhaseSpace.index` run backwards
     one coordinate at a time with the weights of :func:`rank_weights`:
     with the tails left to place numbered from 0, the first first[i + 1]
@@ -154,6 +155,7 @@ def enumerate_phases(
     the place within the block. No sentinel comes up behind an empty
     station, since first[i + 1] counts only the tails that bar it.
     """
+    max_phases = as_int(max_phases, "max_phases (--max-states on the command line)")
     if max_phases < 1:
         raise InputError(
             f"max_phases (--max-states on the command line) must be at least 1, "

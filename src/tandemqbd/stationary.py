@@ -2,58 +2,57 @@
 
 The phase marginal solves pi A = 0, pi e = 1 where A is the entrywise sum
 of the level blocks (the arrival terms cancel between the diagonal blocks,
-so they never appear). The size and density of A pick one of two solvers:
+so they never appear). The form of A, as :func:`phase_generator` makes
+it, and the density of a sparse A pick one of two solvers:
 
-- restarted GMRES with a symmetric Gauss-Seidel preconditioner above
-  SPARSE_MIN_PHASES phases when A has more than ITERATIVE_MIN_ROW_NNZ
-  nonzeros per row on average, at any size: its memory is O(nnz), and on
-  such lines, mostly of five or more servers, it is faster than
-  eliminating A by levels (one and a half times on the paper's 780-phase
-  grid lines, about forty times at 6,765 phases). Given the phases, the
-  system is renumbered into flow order (descending, the last station's
-  coordinate most significant), which lines the Gauss-Seidel sweeps up
-  with the flow of customers and about halves the iterations that the
-  lexicographic order takes. The GMRES loop is this module's own, with
-  scipy's stopping rule: scipy's loop spent about half of each solve in
-  Python overhead;
+- restarted GMRES with a symmetric Gauss-Seidel preconditioner when A is
+  CSR with more than ITERATIVE_MIN_ROW_NNZ nonzeros per row on average,
+  at any size: its memory is O(nnz), and on such lines, mostly of five or
+  more servers, it is faster than eliminating A by levels (one and a half
+  times on the paper's 780-phase grid lines, about forty times at 6,765
+  phases). The system is renumbered into flow order (descending, the
+  last station's coordinate most significant), which lines the
+  Gauss-Seidel sweeps up with the flow of customers and about halves the
+  iterations that the lexicographic order takes. The GMRES loop is this
+  module's own, with scipy's stopping rule: scipy's loop spent about half
+  of each solve in Python overhead;
 - linear level reduction otherwise, of which one dense solve of the
   whole of A is the one-level case. A transition moves the number of
   customers downstream of the first station by at most one, so grouping
   the phases by that headcount makes A block tridiagonal: a
-  level-dependent QBD inside the phase space. Without the phases the
-  levels are consecutive blocks of A's own order as wide as its
-  bandwidth. At or below SPARSE_MIN_PHASES phases the whole of A is one
-  level. The blocks are eliminated from the lowest level up (Gaver, Jacobs
-  & Latouche, Adv. Appl. Prob. 16, 1984), each Schur complement's diagonal
+  level-dependent QBD inside the phase space. A dense A is one level. The
+  blocks are eliminated from the lowest level up (Gaver, Jacobs &
+  Latouche, Adv. Appl. Prob. 16, 1984), each Schur complement's diagonal
   rebuilt from its off-diagonal row sums (Grassmann, Taksar & Heyman,
   Oper. Res. 33(5), 1985). The top level is solved by the same step: one
   phase's share is fixed at 1 and the others follow from an M-matrix
   solve with a non-negative right-hand side, so no system carries a row
   of ones in place of an equation. Its memory is that of the stored
   multipliers, the sum of the products of neighbouring level sizes; no
-  line above SPARSE_MIN_PHASES is densified whole.
+  CSR generator is densified whole.
 
-A line of one level is solved directly from A as a dense array, a sparse
-A of that size densified first: the top level's step runs on A as it
-stands, max|A| is read from A's largest and smallest entries and the
-residual is the product pi A, so no n x n temporary is made. A larger A
-is read as its entries, grouped by row as in CSR: the choice of solver
-counts them, level reduction scatters them into its levels, and the
-residual is summed from them; GMRES alone takes A as a CSR matrix. Every
-answer passes the same residual and sign gate.
+:func:`solve_stationary` takes A in the two forms that
+:func:`phase_generator` makes, and refuses any other. A dense array, a
+line of at most SPARSE_MIN_PHASES phases, is solved directly as one
+level: the top level's step runs on A as it stands, max|A| is read from
+A's largest and smallest entries and the residual is the product pi A, so
+no n x n temporary is made. A CSR matrix, a larger line, comes with its
+phases, which give the headcount levels and the flow order. It is read as
+its entries, grouped by row: the choice of solver counts them, level
+reduction scatters them into its levels, and the residual is summed from
+them; GMRES alone takes A as a CSR matrix. Every answer passes the same
+residual and sign gate.
 
 scipy is imported inside the functions that use it, not here: scipy.sparse
 and scipy.sparse.linalg take about 0.2 s to import. Level reduction needs
-neither. :func:`phase_generator` gives the generator of a line of at most
-SPARSE_MIN_PHASES phases as a dense array, so an analysis of such a line
-loads no scipy at all; above that it gives CSR, and only GMRES loads
-scipy.sparse.linalg.
+neither, so an analysis of a line of at most SPARSE_MIN_PHASES phases
+loads no scipy at all; above that :func:`phase_generator` builds CSR, and
+only GMRES loads scipy.sparse.linalg.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -69,19 +68,20 @@ if TYPE_CHECKING:
 RESIDUAL_RTOL = 1e-10
 # entries at or below this are treated as genuinely negative, not roundoff
 NEGATIVE_ENTRY_TOL = -1e-9
-# a line of at most this many phases is one level, the whole generator, and
-# never goes to GMRES
+# phase_generator gives a line of at most this many phases as a dense
+# array, which is one level, the whole generator, and never goes to GMRES
 SPARSE_MIN_PHASES = 250
-# GMRES takes the lines above SPARSE_MIN_PHASES whose generator has more
-# than this many nonzeros per row, level reduction the rest. A line of
-# three or fewer servers has at most 4. Solve only, best of up to 20 on a
-# 2-vCPU host: at or below 4.5 GMRES took 1.3-56 times as long as level
-# reduction ([1]*4, B=[5,5,5]: 496 phases, 4.30, 4.5 ms against 2.5 ms)
-# or did not converge ([1]*5, B=[0,0,0,300]: 6,355 phases, 4.19). From
-# 4.8 up GMRES took 0.02-0.8 of the time (2.3 ms against 3.6 ms on the
-# 780-phase grid lines, 23 ms against 0.97 s at 6,765 phases); between
-# 4.5 and 4.7 it took 0.95-9.2 times as long ([1]*7, B=0: 377 phases,
-# 4.53, 1.4 ms each; [1]*4, B=[5,5,100]: 6,481, 4.51, 289 ms against 31)
+# GMRES takes the lines above SPARSE_MIN_PHASES, given as CSR, whose
+# generator has more than this many nonzeros per row, level reduction the
+# rest. A line of three or fewer servers has at most 4. Solve only, best
+# of up to 20 on a 2-vCPU host: at or below 4.5 GMRES took 1.3-56 times as
+# long as level reduction ([1]*4, B=[5,5,5]: 496 phases, 4.30, 4.5 ms
+# against 2.5 ms) or did not converge ([1]*5, B=[0,0,0,300]: 6,355
+# phases, 4.19). From 4.8 up GMRES took 0.02-0.8 of the time (2.3 ms
+# against 3.6 ms on the 780-phase grid lines, 23 ms against 0.97 s at
+# 6,765 phases); between 4.5 and 4.7 it took 0.95-9.2 times as long
+# ([1]*7, B=0: 377 phases, 4.53, 1.4 ms each; [1]*4, B=[5,5,100]: 6,481,
+# 4.51, 289 ms against 31)
 ITERATIVE_MIN_ROW_NNZ = 4.5
 # GMRES stops at a residual of GMRES_RTOL relative to |rhs| = 1, or after
 # GMRES_MAXITER restarts of GMRES_RESTART inner iterations each
@@ -124,28 +124,27 @@ def phase_generator(blocks: QbdBlocks) -> np.ndarray | sparse.csr_matrix:
 
 
 def solve_stationary(
-    A: np.ndarray | sparse.spmatrix, phases: np.ndarray | None = None
+    A: np.ndarray | sparse.csr_matrix, phases: np.ndarray | None = None
 ) -> StationaryVector:
     """Solve pi A = 0, pi e = 1 for an irreducible generator A.
 
-    A may be dense or sparse; at or below SPARSE_MIN_PHASES phases it is
-    solved as one dense level, a sparse A densified, duplicates summed.
-    Above, it is read as its entries grouped by row: a dense A's nonzeros
-    in row-major order, a sparse A's stored entries as CSR, and their
-    count per row picks the solver (see the module docstring).
-    ``phases``, the (M, K) phase array that A's rows and columns follow,
-    gives level reduction its levels above SPARSE_MIN_PHASES and lets
-    GMRES sweep in flow order; without it level reduction takes blocks of
-    A's bandwidth as its levels and GMRES sweeps in A's own order. pi
-    comes back in A's order either way. Raises ValueError when A is not
-    square, ``phases`` has not one row per phase, or a transition of A
-    moves the level by more than one; SingularSystemError when A has a
-    non-finite entry, when a factorization fails, when a level's share of
-    pi is not positive and finite, or when the residual is not finite or
-    exceeds RESIDUAL_RTOL relative to max|A| (rank deficiency beyond the
-    expected one-dimensional null space); NumericalError when GMRES does
-    not converge; and NonPositiveSolutionError when the solution carries
-    an entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
+    A comes in one of the two forms that :func:`phase_generator` makes,
+    and its form picks the route. A dense ndarray is one level, solved
+    whole. A CSR matrix comes with ``phases``, the (M, K) phase array that
+    A's rows and columns follow: its entries, grouped by row, are counted
+    to pick the solver (see the module docstring), the phases' headcounts
+    are level reduction's levels, and their flow order is the order of
+    GMRES's sweeps. pi comes back in A's order either way. Raises
+    ValueError when A is neither form (a CSR matrix without its phases
+    included), when A is not square, ``phases`` has not one row per phase,
+    or a transition of A moves the level by more than one;
+    SingularSystemError when A has a non-finite entry, when a
+    factorization fails, when a level's share of pi is not positive and
+    finite, or when the residual is not finite or exceeds RESIDUAL_RTOL
+    relative to max|A| (rank deficiency beyond the expected
+    one-dimensional null space); NumericalError when GMRES does not
+    converge; and NonPositiveSolutionError when the solution carries an
+    entry below NEGATIVE_ENTRY_TOL (reducibility or numerical failure).
     Roundoff-scale negatives are clamped to zero and the vector
     renormalized.
     """
@@ -155,37 +154,27 @@ def solve_stationary(
         raise ValueError("generator must be square")
     if phases is not None and len(phases) != n:
         raise ValueError(f"{len(phases)} phases for a generator of {n}")
-    # a sparse A was made by scipy.sparse, so it is loaded already
-    sparse = sys.modules.get("scipy.sparse")
-    if n <= SPARSE_MIN_PHASES:
-        if sparse is not None and sparse.issparse(A):
-            A = A.toarray()  # one level is solved dense; duplicates are summed
-        A = np.asarray(A, dtype=float)
+    if isinstance(A, np.ndarray):
         scale = _entry_scale(max(A.max(), -A.min()))
         pi, solver, iterations = _solve_top(A), "block-lu", 0
         residual = float(abs(pi @ A).max())
-    else:
-        if sparse is not None and sparse.issparse(A):
-            if not isinstance(A, sparse.csr_matrix) or A.dtype != float:
-                A = sparse.csr_matrix(A, dtype=float)
-            counts, cols, rates = np.diff(A.indptr), A.indices, A.data
-        else:
-            A = np.asarray(A, dtype=float)
-            # np.nonzero's order; its two-dimensional form takes ten times as long
-            at = np.flatnonzero(A != 0.0)
-            counts, cols, rates = np.bincount(at // n, minlength=n), at % n, A.ravel()[at]
+    elif getattr(A, "format", None) == "csr" and phases is not None:
+        counts, cols, rates = np.diff(A.indptr), A.indices, A.data
         scale = _entry_scale(np.abs(rates).max(initial=0.0))
         if len(rates) > ITERATIVE_MIN_ROW_NNZ * n:
-            if isinstance(A, np.ndarray):
-                from scipy import sparse
-
-                A = sparse.csr_matrix(A)
-            (pi, iterations), solver = _solve_gmres(A, phases), "gmres-sgs"
+            order = np.lexsort(phases.T)[::-1]
+            (pi, iterations), solver = _solve_gmres(A, order), "gmres-sgs"
         else:
-            levels = _reduce_levels(n, np.arange(n).repeat(counts), cols, rates, phases)
+            level = np.minimum(phases, phases.max(axis=0) - 1).sum(axis=1)
+            levels = _reduce_levels(np.arange(n).repeat(counts), cols, rates, level)
             pi, solver, iterations = _solve_levels(*levels), "block-lu", 0
         flow = np.bincount(cols, pi.repeat(counts) * rates, minlength=n)
         residual = float(abs(flow).max())
+    else:
+        raise ValueError(
+            "generator must be a dense ndarray, or a CSR matrix with its phases, "
+            f"got {type(A).__name__}" + (" without phases" if phases is None else "")
+        )
     if not math.isfinite(residual) or residual > RESIDUAL_RTOL * scale:
         raise SingularSystemError(
             f"stationary residual {residual:.3e} is not within {RESIDUAL_RTOL:.0e} "
@@ -274,11 +263,7 @@ def _solve_levels(S: np.ndarray, multipliers: list[np.ndarray], order: np.ndarra
 
 
 def _reduce_levels(
-    n: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    rates: np.ndarray,
-    phases: np.ndarray | None = None,
+    rows: np.ndarray, cols: np.ndarray, rates: np.ndarray, level: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The levels of the n x n generator A whose entries are (rows, cols,
     rates), a (row, col) pair given more than once counting as the sum,
@@ -286,33 +271,29 @@ def _reduce_levels(
     from level 0 up, the phases' order level by level), the arguments of
     :func:`_solve_levels`.
 
-    With ``phases`` the level of a phase is its number of customers
+    ``level`` holds each of the n phases' level, from 0 up. For
+    :func:`solve_stationary` it is the phase's number of customers
     downstream of the first station, a blocking sentinel B_i + 2 counting
     as the B_i + 1 it holds. A completion moves one customer one station,
     perhaps into the downstream stations or out of the line, so it moves
-    that headcount by at most one. Without them the levels are consecutive
-    blocks of A's order, each as wide as A's bandwidth max|i - j| (at
-    least 1), so that no nonzero reaches past the next block. Either way A
-    is block tridiagonal in its levels, and the cost is about the sum of
-    the cubes of the level sizes. Each level's rows are scattered from the
-    entries into one dense band, duplicates summed. Reducing from the
-    bottom, S_0 = A_00, R_l = A_{l+1,l} (-S_l)^-1 and S_{l+1} =
-    A_{l+1,l+1} + R_l A_{l,l+1}: S_l is the level-l block of the chain
-    watched only on levels l and up, so S_l e + A_{l,l+1} e = 0. Its
-    off-diagonal entries are sums of non-negative terms, and its diagonal
-    is reset to minus their row sum and the row sum of A_{l,l+1} (the GTH
-    rule), which keeps each row's balance free of cancellation.
+    that headcount by at most one, and A is block tridiagonal in its
+    levels. The cost is about the sum of the cubes of the level sizes.
+    Each level's rows are scattered from the entries into one dense band,
+    duplicates summed. Reducing from the bottom, S_0 = A_00, R_l =
+    A_{l+1,l} (-S_l)^-1 and S_{l+1} = A_{l+1,l+1} + R_l A_{l,l+1}: S_l is
+    the level-l block of the chain watched only on levels l and up, so
+    S_l e + A_{l,l+1} e = 0. Its off-diagonal entries are sums of
+    non-negative terms, and its diagonal is reset to minus their row sum
+    and the row sum of A_{l,l+1} (the GTH rule), which keeps each row's
+    balance free of cancellation.
 
     Raises ValueError when a transition of A moves the level by more than
     one, and SingularSystemError when a level's elimination is exactly
     singular.
     """
-    if phases is None:
-        level = np.arange(n) // max(int(abs(rows - cols).max(initial=0)), 1)
-    else:
-        level = np.minimum(phases, phases.max(axis=0) - 1).sum(axis=1)
-        if abs(level[cols] - level[rows]).max(initial=0) > 1:
-            raise ValueError("a transition moves the level by more than one")
+    n = len(level)
+    if abs(level[cols] - level[rows]).max(initial=0) > 1:
+        raise ValueError("a transition moves the level by more than one")
     # in level order, level l spans edges[l + 1] to edges[l + 2], its band edges[l] to edges[l + 3]
     sizes = np.bincount(level)
     edges = np.concatenate(([0, 0], np.add.accumulate(sizes), [n]))
@@ -374,22 +355,21 @@ def _triangle_solver(T: sparse.spmatrix):
         raise SingularSystemError(f"stationary system is singular: {exc}") from exc
 
 
-def _solve_gmres(
-    A: sparse.csr_matrix, phases: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+def _solve_gmres(A: sparse.csr_matrix, order: np.ndarray) -> tuple[np.ndarray, int]:
     """The same system by restarted GMRES, preconditioned by one symmetric
     Gauss-Seidel sweep v -> (D+U)^-1 D (D+L)^-1 v; (pi, inner iterations).
 
-    Given the (M, K) phase array, the system is renumbered into flow
-    order, ``np.lexsort(phases.T)[::-1]``: descending, the last station's
+    The system is renumbered so that phase order[k] is unknown k. For
+    :func:`solve_stationary` that is the flow order of the (M, K) phase
+    array, ``np.lexsort(phases.T)[::-1]``: descending, the last station's
     coordinate most significant. Customers move down the line, and
     Gauss-Seidel on a Markov chain converges in far fewer sweeps when its
     order follows the flow (Stewart, Introduction to the Numerical
-    Solution of Markov Chains, 1994, ch. 3). The lexicographic order, the
-    first station most significant and ascending, runs against it: on the
-    four benchmark lines of 2,911-6,765 phases it took 45-51 inner
-    iterations where the flow order takes 26-33, and 107 where it takes 49
-    at 151,316 phases. Without ``phases`` the order is A's own.
+    Solution of Markov Chains, 1994, ch. 3). The lexicographic order,
+    ``np.arange(n)``, the first station most significant and ascending,
+    runs against it: on the four benchmark lines of 2,911-6,765 phases it
+    took 45-51 inner iterations where the flow order takes 26-33, and 107
+    where it takes 49 at 151,316 phases.
 
     A is divided by its largest |entry|, which leaves pi as it is and puts
     the rows of A^T on the scale of the row of ones, so GMRES_RTOL asks
@@ -401,7 +381,6 @@ def _solve_gmres(
     returned.
     """
     n = A.shape[0]
-    order = np.arange(n) if phases is None else np.lexsort(phases.T)[::-1]
     system, lower, upper = _permuted_system(A, order)
     forward, backward = _triangle_solver(lower), _triangle_solver(upper)
     del lower, upper  # SuperLU holds its own copies

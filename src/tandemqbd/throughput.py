@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NegativeArrivalRateError
-from .model import TandemConfig
+from .model import TandemConfig, as_float
 from .phases import DEFAULT_MAX_PHASES, enumerate_phases
 from .generator import QbdBlocks, build_blocks
 from .stationary import phase_generator, solve_stationary
@@ -87,8 +87,11 @@ def is_stable(config: TandemConfig, arrival_rate: float) -> bool:
     """True iff the line absorbs Poisson arrivals at ``arrival_rate``.
 
     Stability is strict: at the saturation rate itself the level drifts,
-    so the predicate is False there.
+    so the predicate is False there. The rate is a number that ``float()``
+    converts; a bool, a string, None or an integer beyond the float range
+    raises InputError.
     """
+    arrival_rate = as_float(arrival_rate, "arrival rate")
     if math.isnan(arrival_rate):
         raise InputError("arrival rate must be a number, got nan")
     if arrival_rate < 0.0:

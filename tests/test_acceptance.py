@@ -248,9 +248,10 @@ def test_criterion_7e_power_method_agreement():
         ([0.8] + [1.0] * 5, [1] * 5),  # 780 phases, largest grid entry
     ]:
         cfg = line(rates, buffers)
-        A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+        space = enumerate_phases(cfg)
+        A = phase_generator(build_blocks(cfg, space))
+        direct = solve_stationary(A, phases=space.phases).pi
         A = A if isinstance(A, np.ndarray) else A.toarray()  # dense up to 250 phases
-        direct = solve_stationary(A).pi
         worst = max(worst, float(np.max(np.abs(direct - power_pi(A)))))
     report_criterion(
         "7e power-method oracle agreement (tol 1e-8)",

@@ -19,6 +19,7 @@ from tandemqbd import (
     count_phases,
     count_phases_closed_form,
     enumerate_phases,
+    lambda_max,
     validate_config,
 )
 from tandemqbd.phases import _log10_count, rank_weights
@@ -185,6 +186,16 @@ def test_cap_below_one_is_an_input_error(cap):
     message = f"(--max-states on the command line) must be at least 1, got {cap}"
     with pytest.raises(InputError, match=re.escape(message)):
         enumerate_phases(line([0]), max_phases=cap)
+
+
+@pytest.mark.parametrize("cap", ["10", None, True, 10.0], ids=["string", "none", "bool", "float"])
+def test_cap_that_is_not_an_integer_is_an_input_error(cap):
+    # "10" and None raised a raw TypeError, True was "above the cap of True"
+    message = f"(--max-states on the command line) must be an integer, got {cap!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        enumerate_phases(line([0]), max_phases=cap)
+    with pytest.raises(InputError, match=re.escape(message)):
+        lambda_max(line([0]), max_phases=cap)
 
 
 @pytest.mark.parametrize(

@@ -27,12 +27,28 @@ from tandemqbd import stationary
 from tandemqbd.stationary import SPARSE_MIN_PHASES, _reduce_levels, _solve_gmres, _solve_levels
 
 
-def generator_for(rates, buffers):
-    """The phase generator as a dense array; phase_generator gives one up to
-    SPARSE_MIN_PHASES phases and CSR above."""
+def generator_and_phases(rates, buffers):
+    """(phase_generator's A, the phase array), the arguments lambda_max
+    hands solve_stationary."""
     cfg = validate_config(rates, buffers)
-    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    space = enumerate_phases(cfg)
+    return phase_generator(build_blocks(cfg, space)), space.phases
+
+
+def dense(A):
+    """A as a dense array; phase_generator gives one up to SPARSE_MIN_PHASES
+    phases and CSR above."""
     return A if isinstance(A, np.ndarray) else A.toarray()
+
+
+def generator_for(rates, buffers):
+    """The phase generator as a dense array."""
+    return dense(generator_and_phases(rates, buffers)[0])
+
+
+def flow_order(phases):
+    """The order of GMRES's sweeps in lambda_max."""
+    return np.lexsort(phases.T)[::-1]
 
 
 def power_method_pi(A, tol=1e-13, max_iter=2_000_000):
@@ -112,9 +128,9 @@ SPARSE = ([1.0] * 4, [5] * 3)
 
 @pytest.mark.parametrize("rates,buffers", CONFIGS + [LARGE])
 def test_residual_bound(rates, buffers):
-    A = generator_for(rates, buffers)
-    result = solve_stationary(A)
-    assert result.residual <= 1e-10 * np.max(np.abs(A))
+    A, phases = generator_and_phases(rates, buffers)
+    result = solve_stationary(A, phases=phases)
+    assert result.residual <= 1e-10 * abs(A).max()
     assert abs(result.pi.sum() - 1.0) <= 1e-12
     assert result.pi.min() >= 0.0
 
@@ -124,18 +140,18 @@ def test_scale_invariance(scale):
     # a one-level line, a multi-level line and a GMRES line (whose stopping
     # test is absolute)
     for rates, buffers in [([0.8, 1.0, 1.3], [1, 2]), SPARSE, LARGE]:
-        base = solve_stationary(generator_for(rates, buffers)).pi
-        scaled = solve_stationary(
-            generator_for([scale * r for r in rates], buffers)
-        ).pi
+        A, phases = generator_and_phases(rates, buffers)
+        base = solve_stationary(A, phases=phases).pi
+        A, phases = generator_and_phases([scale * r for r in rates], buffers)
+        scaled = solve_stationary(A, phases=phases).pi
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
 @pytest.mark.parametrize("rates,buffers", CONFIGS)
 def test_agrees_with_power_method(rates, buffers):
-    A = generator_for(rates, buffers)
-    direct = solve_stationary(A).pi
-    iterated = power_method_pi(A)
+    A, phases = generator_and_phases(rates, buffers)
+    direct = solve_stationary(A, phases=phases).pi
+    iterated = power_method_pi(dense(A))
     np.testing.assert_allclose(direct, iterated, atol=1e-8)
 
 
@@ -192,8 +208,8 @@ def test_gmres_matches_sparse_lu(rates, buffers):
     A = phase_generator(blocks)
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     lu_rate = sparse_lu(A) @ down
-    for phases in (space.phases, None):
-        it_pi, iterations = _solve_gmres(A, phases)
+    for order in (flow_order(space.phases), np.arange(len(space.phases))):
+        it_pi, iterations = _solve_gmres(A, order)
         assert 0 < iterations < stationary.GMRES_RESTART * stationary.GMRES_MAXITER
         assert abs(lu_rate - it_pi @ down) <= 1e-10
         if (rates, buffers) in (STIFF, UNEVEN):
@@ -217,11 +233,11 @@ def test_gmres_matches_scipy(rates, buffers, monkeypatch):
     cfg = validate_config(rates, buffers)
     space = enumerate_phases(cfg)
     A = phase_generator(build_blocks(cfg, space))
-    orders = (space.phases, None)
-    ours = [_solve_gmres(A, phases) for phases in orders]
+    orders = (flow_order(space.phases), np.arange(len(space.phases)))
+    ours = [_solve_gmres(A, order) for order in orders]
     monkeypatch.setattr(stationary, "_gmres", scipy_gmres)
-    for (pi, iterations), phases in zip(ours, orders):
-        want, want_iterations = _solve_gmres(A, phases)
+    for (pi, iterations), order in zip(ours, orders):
+        want, want_iterations = _solve_gmres(A, order)
         assert iterations == want_iterations
         np.testing.assert_allclose(pi, want, rtol=0.0, atol=1e-13)
 
@@ -252,7 +268,7 @@ def test_flow_order_iteration_ceiling():
     report = lambda_max(cfg)
     assert report.solver == "gmres-sgs"
     assert report.iterations <= 35
-    assert _solve_gmres(phase_generator(report.blocks))[1] > 35
+    assert _solve_gmres(phase_generator(report.blocks), np.arange(report.num_phases))[1] > 35
 
 
 def test_gmres_that_does_not_converge_raises(monkeypatch):
@@ -260,12 +276,12 @@ def test_gmres_that_does_not_converge_raises(monkeypatch):
     # how far it got, and its last iterate is dropped
     monkeypatch.setattr(stationary, "GMRES_RESTART", 5)
     monkeypatch.setattr(stationary, "GMRES_MAXITER", 1)
-    A = generator_for(*LARGE)
+    A, phases = generator_and_phases(*LARGE)
     with pytest.raises(
         NumericalError,
         match=r"did not converge: residual \d\.\d{3}e[-+]\d+ after 5 inner iterations",
     ):
-        solve_stationary(A)
+        solve_stationary(A, phases=phases)
 
 
 def test_long_buffers_before_fast_servers():
@@ -320,9 +336,9 @@ def test_levels_match_lu_oracle(rates, buffers):
     assert A.nnz <= stationary.ITERATIVE_MIN_ROW_NNZ * A.shape[0]
     down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
     lu_rate = sparse_lu(A) @ down
-    coo = A.tocoo()
-    pi = _solve_levels(*_reduce_levels(A.shape[0], coo.row, coo.col, coo.data, space.phases))
-    assert abs(pi @ down - lu_rate) <= 1e-12 * lu_rate
+    result = solve_stationary(A, phases=space.phases)
+    assert result.solver == "block-lu"
+    assert abs(result.pi @ down - lu_rate) <= 1e-12 * lu_rate
 
 
 # each of these lost its answer when a step of the level reduction was
@@ -356,28 +372,6 @@ def test_levels_long_last_buffer():
 def test_levels_long_buffer_reversal():
     # 15,008 phases, the long buffer first or last
     assert abs(rate([1.0] * 3, [0, 5000]) - rate([1.0] * 3, [5000, 0])) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "rates,buffers",
-    [([1.0, 1.0], [8000]), ([1.0, 30.0, 30.0], [60, 60])],  # 8,003 and 3,968 phases
-)
-def test_levels_without_phases(rates, buffers):
-    # without the phases the levels are blocks of A's bandwidth, not the
-    # whole of A as one dense level (about 1.5 GB and 0.4 GB here)
-    cfg = validate_config(rates, buffers)
-    blocks = build_blocks(cfg, enumerate_phases(cfg))
-    down = np.asarray(blocks.level_down.sum(axis=1)).ravel()
-    tracemalloc.start()
-    try:
-        result = solve_stationary(phase_generator(blocks))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.solver == "block-lu"
-    assert peak < 100e6
-    want = lambda_max(cfg).lambda_max
-    assert abs(result.pi @ down - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize(
@@ -430,12 +424,13 @@ def test_stiff_top_level_matches_its_reference(rates, buffers):
 
 
 def test_top_level_pins_its_likeliest_phase_above_other_levels():
-    # a birth-death chain of 340 phases, passed without its phases: one edge
-    # of negligible rate widens the bandwidth to 99, so the top level holds
-    # phases 297-339. pi rises tenfold a phase up to phase 300 and falls
-    # 1e10-fold a phase after it: pinned, the top level's last phase leaves
-    # the others' shares past the largest double, so phase 300 is pinned
-    # instead, and the levels below must follow the top level's own order
+    # a birth-death chain of 340 phases in levels of 99 consecutive phases,
+    # the bandwidth that one edge of negligible rate gives it, so the top
+    # level holds phases 297-339. pi rises tenfold a phase up to phase 300
+    # and falls 1e10-fold a phase after it: pinned, the top level's last
+    # phase leaves the others' shares past the largest double, so phase 300
+    # is pinned instead, and the levels below must follow the top level's
+    # own order
     n, peak = 340, 300
     up = np.where(np.arange(n - 1) < peak, 10.0, 1.0)  # rate of k -> k + 1
     down = np.where(np.arange(1, n) <= peak, 1.0, 1e10)  # rate of k + 1 -> k
@@ -445,7 +440,8 @@ def test_top_level_pins_its_likeliest_phase_above_other_levels():
     log_pi = np.concatenate([[0.0], np.cumsum(np.log10(up / down))])
     want = 10.0 ** (log_pi - log_pi.max())
     want /= want.sum()
-    pi = solve_stationary(A).pi
+    coo = A.tocoo()
+    pi = _solve_levels(*_reduce_levels(coo.row, coo.col, coo.data, np.arange(n) // 99))
     assert want[-1] == 0.0 and pi[-1] == 0.0  # about 10^-390 of phase 300's share
     seen = want > 1e-300
     np.testing.assert_allclose(pi[seen], want[seen], rtol=1e-12, atol=0.0)
@@ -467,35 +463,28 @@ def test_one_level_solve_allocates_no_square_array():
 
 
 def test_one_input_form():
-    # a dense array, a canonical CSR, a CSR with one entry split into two
-    # duplicates and a shuffled COO of one level are solved as the same
-    # dense array: the same pi to the bit, and the caller's arrays are left
-    # as they were
+    # a dense A is solved as it stands, and left as it was
     A = generator_for([0.8, 1.0, 1.3], [1, 2])
-    canonical = sparse.csr_matrix(A)
-    k = canonical.indptr[2]  # the first entry of row 2, in two exact halves
-    data = np.insert(canonical.data, k, canonical.data[k] / 2)
-    data[k + 1] /= 2
-    indptr = canonical.indptr + (np.arange(len(A) + 1) > 2)
-    split = sparse.csr_matrix((data, np.insert(canonical.indices, k, canonical.indices[k]), indptr))
-    coo = canonical.tocoo()
-    shuffle = np.random.default_rng(7).permutation(coo.nnz)
-    coo = sparse.coo_matrix((coo.data[shuffle], (coo.row[shuffle], coo.col[shuffle])), A.shape)
-    assert split.nnz == canonical.nnz + 1 and not split.has_canonical_format
+    before = A.copy()
+    solve_stationary(A)
+    np.testing.assert_array_equal(A, before)
 
-    def contents(form):
-        names = ("data", "indices", "indptr", "row", "col")
-        if isinstance(form, np.ndarray):
-            return [form.copy()]
-        return [getattr(form, name).copy() for name in names if hasattr(form, name)]
 
-    forms = [A, canonical, split, coo]
-    before = [contents(form) for form in forms]
-    pis = [solve_stationary(form).pi for form in forms]
-    assert all(pi.tobytes() == pis[0].tobytes() for pi in pis)
-    for form, arrays in zip(forms, before):
-        for was, now in zip(arrays, contents(form), strict=True):
-            np.testing.assert_array_equal(now, was)
+@pytest.mark.parametrize(
+    "form,with_phases",
+    [
+        (sparse.csc_matrix, True),
+        (sparse.coo_matrix, True),
+        (lambda A: A.toarray().tolist(), True),
+        (sparse.csr_matrix, False),
+    ],
+    ids=["csc", "coo", "list", "csr-without-phases"],
+)
+def test_other_forms_are_refused(form, with_phases):
+    # a dense ndarray, or CSR with its phases: phase_generator makes no other
+    A, phases = generator_and_phases(*SPARSE)
+    with pytest.raises(ValueError, match="a dense ndarray, or a CSR matrix with its phases"):
+        solve_stationary(form(A), phases=phases if with_phases else None)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +496,8 @@ def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
     # solver runs. validate_config refuses such rates, so the config is
     # built directly
     cfg = TandemConfig(tuple(rates), tuple(buffers))
-    A = phase_generator(build_blocks(cfg, enumerate_phases(cfg)))
+    space = enumerate_phases(cfg)
+    A = phase_generator(build_blocks(cfg, space))
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran on a non-finite generator")
@@ -517,7 +507,7 @@ def test_non_finite_generator_is_singular(rates, buffers, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", unreachable)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(SingularSystemError):
-            solve_stationary(A)
+            solve_stationary(A, phases=space.phases)
 
 
 def test_all_zero_generator_is_singular():
@@ -535,12 +525,12 @@ def test_disconnected_generator_is_singular():
 
 
 def test_disconnected_sparse_generator_is_singular():
-    # two rings, together above SPARSE_MIN_PHASES: levels of A's bandwidth
+    # two rings, together above SPARSE_MIN_PHASES, in levels of 125 phases
     h = SPARSE_MIN_PHASES // 2 + 1
     ring = sparse.eye(h, k=1) + sparse.eye(h, k=1 - h) - sparse.eye(h)
     A = sparse.block_diag([ring, 2.0 * ring], format="csr")
     with pytest.raises(SingularSystemError):
-        solve_stationary(A)
+        solve_stationary(A, phases=(np.arange(2 * h) // 125)[:, None])
 
 
 @pytest.mark.parametrize(

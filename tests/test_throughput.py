@@ -1,6 +1,7 @@
 """Saturation rate, stability verdict, and the two-server closed form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,35 @@ def test_report_names_its_solver(rates, buffers, solver):
     assert iterative == (solver == "gmres-sgs")
 
 
+HETERO = ([0.9, 1.0, 1.1, 1.0, 1.0, 1.0, 1.0], [2, 0, 3, 1, 0, 2])
+
+
+@pytest.mark.parametrize(
+    "rates,buffers,num_phases,pinned,solver,iterations",
+    [
+        ([1.0] * 7, [0] * 6, 377, "0x1.d00e0931b3a3dp-2", "gmres-sgs", 15),
+        ([1.0] * 4, [5] * 3, 496, "0x1.9d863436677aep-1", "block-lu", 0),
+        ([0.8] + [1.0] * 5, [1] * 5, 780, "0x1.23153201cdc57p-1", "gmres-sgs", 23),
+        ([1.0] * 4, [8] * 3, 1309, "0x1.b75121a6dd256p-1", "block-lu", 0),
+        ([1.0, 1.0, 0.1], [50, 50], 2808, "0x1.999999999999ap-4", "block-lu", 0),
+        ([1.25] + [1.0] * 6, [1] * 6, 2911, "0x1.2cf84eec95345p-1", "gmres-sgs", 30),
+        ([1e-3, 1.0], [3000], 3003, "0x1.0624dd2f1a9fcp-10", "block-lu", 0),
+        (*HETERO, 3833, "0x1.25d77fed1e7b5p-1", "gmres-sgs", 33),
+        (HETERO[0][::-1], HETERO[1][::-1], 3833, "0x1.25d77fed1e710p-1", "gmres-sgs", 32),
+        ([1.0] * 5, [0, 0, 0, 300], 6355, "0x1.0790a726cec78p-1", "block-lu", 0),
+        ([1.0] * 10, [0] * 9, 6765, "0x1.b7417b7949301p-2", "gmres-sgs", 26),
+    ],
+)
+def test_large_lines_are_pinned(rates, buffers, num_phases, pinned, solver, iterations):
+    # above SPARSE_MIN_PHASES, on both tiers: the rate to the bit, the
+    # solver and its iterations, as the grid lines are pinned by sweep
+    report = lambda_max(line(rates, buffers))
+    assert report.num_phases == num_phases
+    assert (report.lambda_max.hex(), report.solver, report.iterations) == (
+        pinned, solver, iterations
+    )
+
+
 def test_buffers_never_hurt():
     rates = [0.8, 1.2, 1.0, 0.9]
     values = [
@@ -159,6 +189,22 @@ def test_stability_verdicts():
         is_stable(cfg, -0.1)
     with pytest.raises(InputError):
         is_stable(cfg, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "rate,message",
+    [
+        ("0.5", "arrival rate must be a number, got '0.5'"),
+        (None, "arrival rate must be a number, got None"),
+        (True, "arrival rate must be a number, got True"),
+        (10**400, "arrival rate is beyond the float range"),
+    ],
+    ids=["string", "none", "bool", "huge-int"],
+)
+def test_stability_refuses_a_rate_that_is_not_a_number(rate, message):
+    # they raised a raw TypeError or OverflowError, and True was taken as 1.0
+    with pytest.raises(InputError, match=re.escape(message)):
+        is_stable(line([1.0, 1.0, 1.0], [1, 1]), rate)
 
 
 def test_closed_form_does_not_overflow():
