@@ -8,10 +8,10 @@ it, and the density of a sparse A pick one of two solvers:
 - restarted GMRES with a symmetric Gauss-Seidel preconditioner when A is
   CSR with more than ITERATIVE_MIN_ROW_NNZ nonzeros per row on average,
   at any size: its memory is O(nnz), and on such lines, mostly of five or
-  more servers, it is faster than eliminating A by levels (one and a half
-  times on the paper's 780-phase grid lines, about forty times at 6,765
-  phases). The system is renumbered into flow order (descending, the
-  last station's coordinate most significant), which lines the
+  more servers, it is faster than eliminating A by levels (nearly twice
+  as fast on the paper's 780-phase grid lines, about eighty times at
+  6,765 phases). The system is renumbered into flow order (descending,
+  the last station's coordinate most significant), which lines the
   Gauss-Seidel sweeps up with the flow of customers and about halves the
   iterations that the lexicographic order takes. The GMRES loop is this
   module's own, with scipy's stopping rule: scipy's loop spent about half
@@ -74,14 +74,15 @@ SPARSE_MIN_PHASES = 250
 # GMRES takes the lines above SPARSE_MIN_PHASES, given as CSR, whose
 # generator has more than this many nonzeros per row, level reduction the
 # rest. A line of three or fewer servers has at most 4. Solve only, best
-# of up to 20 on a 2-vCPU host: at or below 4.5 GMRES took 1.3-56 times as
-# long as level reduction ([1]*4, B=[5,5,5]: 496 phases, 4.30, 4.5 ms
-# against 2.5 ms) or did not converge ([1]*5, B=[0,0,0,300]: 6,355
-# phases, 4.19). From 4.8 up GMRES took 0.02-0.8 of the time (2.3 ms
-# against 3.6 ms on the 780-phase grid lines, 23 ms against 0.97 s at
-# 6,765 phases); between 4.5 and 4.7 it took 0.95-9.2 times as long
-# ([1]*7, B=0: 377 phases, 4.53, 1.4 ms each; [1]*4, B=[5,5,100]: 6,481,
-# 4.51, 289 ms against 31)
+# of up to 20 on a 2-vCPU host, GMRES from zero: at or below 4.5 GMRES
+# took 1.1-3.5 times as long as level reduction ([1]*4, B=[5,5,5]: 496
+# phases, 4.30, 1.7 ms against 0.9 ms; [1]*5, B=[0,0,0,300]: 6,355
+# phases, 4.19, 14 ms in 32 iterations against 11 ms). From 4.8 up GMRES
+# took 0.01-0.66 of the time (1.7 ms against 3.1 ms on the 780-phase grid
+# lines, 8.4 ms against 0.67 s at 6,765 phases); between 4.5 and 4.7 it
+# took 0.7-2.8 times as long ([1]*7, B=0: 377 phases, 4.53, 0.9 ms
+# against 1.1 ms; [1]*4, B=[5,5,100]: 6,481, 4.51, 40 ms in 95
+# iterations, 414 from the uniform vector, against 14 ms)
 ITERATIVE_MIN_ROW_NNZ = 4.5
 # GMRES stops at a residual of GMRES_RTOL relative to |rhs| = 1, or after
 # GMRES_MAXITER restarts of GMRES_RESTART inner iterations each
@@ -368,8 +369,17 @@ def _solve_gmres(A: sparse.csr_matrix, order: np.ndarray) -> tuple[np.ndarray, i
     Solution of Markov Chains, 1994, ch. 3). The lexicographic order,
     ``np.arange(n)``, the first station most significant and ascending,
     runs against it: on the four benchmark lines of 2,911-6,765 phases it
-    took 45-51 inner iterations where the flow order takes 26-33, and 107
-    where it takes 49 at 151,316 phases.
+    takes 39-51 inner iterations where the flow order takes 15-27, and 97
+    where it takes 43 at 151,316 phases.
+
+    The loop starts from zero, not from the uniform vector: where pi spans
+    decades the uniform vector is off by orders of magnitude, its residual
+    fills every balance equation, and GMRES spends iterations undoing it.
+    From zero the residual is the row of ones alone, and one sweep of it
+    already has pi's shape. On the four benchmark lines of 2,911-6,765
+    phases the uniform vector took 26-33 inner iterations, and on lines
+    with a long last buffer it exhausted GMRES_MAXITER where zero
+    converges ([1]*6, B=[0,0,0,0,400]: 22,144 phases, 19 iterations).
 
     A is divided by its largest |entry|, which leaves pi as it is and puts
     the rows of A^T on the scale of the row of ones, so GMRES_RTOL asks
@@ -387,9 +397,7 @@ def _solve_gmres(A: sparse.csr_matrix, order: np.ndarray) -> tuple[np.ndarray, i
     diagonal = system.diagonal()
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    x, iterations = _gmres(
-        system, rhs, np.full(n, 1.0 / n), lambda v: backward(diagonal * forward(v))
-    )
+    x, iterations = _gmres(system, rhs, lambda v: backward(diagonal * forward(v)))
     pi = np.empty(n)
     pi[order] = x
     return pi, iterations
@@ -433,36 +441,37 @@ def _permuted_system(
     return sparse.csc_matrix((values, rows, indptr), shape=(n, n)), lower, upper
 
 
-def _gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:
-    """Left-preconditioned GMRES from x, restarted every GMRES_RESTART
+def _gmres(system, rhs, precondition) -> tuple[np.ndarray, int]:
+    """Left-preconditioned GMRES from x = 0, restarted every GMRES_RESTART
     iterations for at most GMRES_MAXITER cycles; (x, inner iterations).
 
-    The stopping rule is scipy's (gmres, 1.12 and later), kept exactly: the
-    run ends when the true residual reaches GMRES_RTOL |rhs|, checked at
-    the start and after each cycle, and a cycle ends when its rotated,
-    preconditioned residual reaches ptol, a bound adapted after every cycle
-    (scipy gh-8400). Another inner stop changes the iteration count and
-    the answer: one relative to each cycle's start took 82 iterations
-    instead of 45 on [1.25]+[1]*6, B=1. What differs from scipy is the
-    Python overhead: where its modified Gram-Schmidt makes one dot and one
-    axpy per basis vector, Arnoldi here applies classical Gram-Schmidt
-    twice, as two products with the whole basis, and the small Hessenberg
-    problem is rotated and solved on Python floats, not through fancy
-    indices. Raises NumericalError, naming the residual reached, if the run
-    ends short of GMRES_RTOL.
+    The stopping rule is scipy's (gmres, 1.12 and later, with x0 left at
+    zero), kept exactly: the run ends when the true residual reaches
+    GMRES_RTOL |rhs|, checked at the start and after each cycle, and a
+    cycle ends when its rotated, preconditioned residual reaches ptol, a
+    bound adapted after every cycle (scipy gh-8400). From zero the first
+    residual is rhs itself, and its preconditioned vector both sets the
+    first ptol and starts the first basis. Another inner stop changes the
+    iteration count and the answer: one relative to each cycle's start
+    took 82 iterations instead of 45 on [1.25]+[1]*6, B=1. What differs
+    from scipy is the Python overhead: where its modified Gram-Schmidt
+    makes one dot and one axpy per basis vector, Arnoldi here applies
+    classical Gram-Schmidt twice, as two products with the whole basis,
+    and the small Hessenberg problem is rotated and solved on Python
+    floats, not through fancy indices. Raises NumericalError, naming the
+    residual reached, if the run ends short of GMRES_RTOL.
     """
     eps = float(np.finfo(float).eps)
     n, restart = len(rhs), min(GMRES_RESTART, len(rhs))
-    bnorm = np.linalg.norm(rhs)
+    x = np.zeros(n)
+    rnorm = bnorm = np.linalg.norm(rhs)
     atol = GMRES_RTOL * bnorm
     ptol_factor = 1.0
-    ptol = np.linalg.norm(precondition(rhs)) * min(ptol_factor, atol / bnorm)
+    v = precondition(rhs)  # the first residual, rhs - system @ 0, preconditioned
+    ptol = np.linalg.norm(v) * min(ptol_factor, atol / bnorm)
     basis = np.empty((restart + 1, n))
-    r = rhs - system @ x
-    rnorm = np.linalg.norm(r)
     iterations = 0
     for _ in range(GMRES_MAXITER if rnorm > atol else 0):
-        v = precondition(r)
         beta = np.linalg.norm(v)
         basis[0] = v * (1.0 / beta)
         g = [beta]  # beta e_1, rotated along with the Hessenberg columns
@@ -508,6 +517,7 @@ def _gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:
         else:
             ptol_factor = min(1.0, 1.5 * ptol_factor)
         ptol = presid * min(ptol_factor, atol / rnorm)
+        v = precondition(r)
     if rnorm > atol:
         raise NumericalError(
             f"GMRES did not converge: residual {rnorm:.3e} after {iterations} "

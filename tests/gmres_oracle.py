@@ -15,8 +15,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from tandemqbd import NumericalError, stationary
 
 
-def scipy_gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:
-    """scipy's gmres with the package's settings; (x, inner iterations)."""
+def scipy_gmres(system, rhs, precondition) -> tuple[np.ndarray, int]:
+    """scipy's gmres with the package's settings, from its default x0 of
+    zero; (x, inner iterations)."""
     n = len(rhs)
     iterations = 0
 
@@ -27,7 +28,6 @@ def scipy_gmres(system, rhs, x, precondition) -> tuple[np.ndarray, int]:
     x, info = gmres(
         system,
         rhs,
-        x0=x,
         M=LinearOperator((n, n), matvec=precondition, dtype=float),
         rtol=stationary.GMRES_RTOL,
         atol=0.0,
