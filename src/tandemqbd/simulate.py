@@ -20,11 +20,26 @@ however large the buffers. Nothing blocks the last station, so the
 recursion runs its blocking step over stations 0..K-1 only and closes the
 last with D_K(n) = C_K(n).
 
+The recursion is one generator function per station count, compiled on
+first use and cached, with its stations unrolled into straight-line code:
+station i's D_i(n-1) is a local variable, and station i >= 1 keeps a deque
+of its last B_i + 1 departure times, read at its head by the station in
+front of it. Per customer it does exactly the operations of a loop over the
+stations, in the same order, so the times are bit for bit those of the
+loop, without its interpreter overhead per station. The compiled source
+is built from station indices alone; the rates, buffers and draws reach it
+as arguments, so no input is ever turned into code. Its build grows with
+the station count, so a line longer than MAX_SIMULATED_SERVERS is refused
+as an input error.
+
 Customers leave every station in arrival order (D_i(n) >= D_i(n-1)), and
 leave the line no earlier than station 0 (D_K(n) >= D_0(n)). So the
 customers gone from station 0, and those gone from the line, by a horizon
 are prefixes of the run: the arrival run counts each as the number of the
-last customer in it, not with a tally per customer.
+last customer in it, not with a tally per customer. Once one customer is
+still at station 0 at the horizon, so is every later one, and the arrival
+run stops the recursion there: the rest add only their arrival times to
+the level's integral.
 
 The module works on customers and their times, not on the encoded phases,
 and shares no code with the analytic kernel: the two are written twice so
@@ -53,7 +68,7 @@ import operator
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -61,11 +76,15 @@ from .errors import InputError, NegativeArrivalRateError, TargetTooSmallError
 from .model import TandemConfig, as_float, as_int
 
 MIN_TARGET_DEPARTURES = 10_000
-# with the warm-up, about 10 minutes at the 1.75 * 10^6 departures/s of
-# [0.8,1,1], B=1 at 10^6 departures on a 2-vCPU host (20 minutes at the
-# 9 * 10^5 of six servers)
+# with the warm-up, 6 to 10 minutes at the 1.8 to 2.9 * 10^6 departures/s
+# of [0.8,1,1], B=1 at 10^6 departures on a shared 2-vCPU host whose speed
+# drifts (13 to 19 minutes at the 0.96 to 1.4 * 10^6 of six servers)
 MAX_TARGET_DEPARTURES = 10**9
 MAX_EXPECTED_ARRIVALS = 10**9  # arrival_rate * horizon; more would run for hours
+# the recursion compiled for 10^4 stations takes about 0.7 s and 245 MB to
+# build on a 2-vCPU host, and its shortest run of 1.1 * 10^4 customers is
+# 10^8 station steps
+MAX_SIMULATED_SERVERS = 10_000
 WARMUP_FRACTION = 0.1
 NUM_BATCHES = 20
 # Student t quantile t_{0.975, NUM_BATCHES - 1}, as scipy.stats.t.ppf gives it
@@ -124,7 +143,16 @@ def _exp_draws(seed_seq: np.random.SeedSequence, rate: float) -> Iterator[float]
 def _spawn_streams(
     config: TandemConfig, seed: int, extra: int
 ) -> tuple[list[Iterator[float]], list[np.random.SeedSequence]]:
-    """One independent stream per server, plus ``extra`` spare children."""
+    """One independent stream per server, plus ``extra`` spare children.
+
+    A line of more than MAX_SIMULATED_SERVERS servers is refused here,
+    before any stream is drawn or any recursion compiled.
+    """
+    if config.num_servers > MAX_SIMULATED_SERVERS:
+        raise InputError(
+            f"at most {MAX_SIMULATED_SERVERS} servers can be simulated, "
+            f"got {config.num_servers}"
+        )
     root = np.random.SeedSequence(seed % 2**64)
     children = root.spawn(config.num_servers + extra)
     streams = [
@@ -138,35 +166,60 @@ def _departures(
 ) -> Iterator[tuple[float, float, float]]:
     """Yield (A(n), D_0(n), D_K(n)) for each customer n, in arrival order.
 
-    ``arrival_times`` supplies D_{-1}(n). ``rings[i]`` holds D_i of the last
-    B_i + 1 customers (B_0 = 0), oldest first: ``rings[i][-1]`` is D_i(n-1)
-    and, before station i takes customer n, ``rings[i][0]`` is
-    D_i(n - B_i - 1). Times before the first customer read as 0: a ring
-    starts as one 0 that stays at its head until the ring fills. Nothing
-    beyond the last station blocks it, so it runs outside the blocking
-    loop: D_K(n) = C_K(n).
+    ``arrival_times`` supplies D_{-1}(n), and is read one time per customer,
+    so a caller holding the same iterator reads on from the last customer
+    yielded. ``rings[i - 1]`` holds D_i of the last B_i + 1 customers for
+    station i >= 1, oldest first: before station i - 1 releases customer n,
+    its head is D_i(n - B_i - 1). Times before the first customer read as 0:
+    a ring starts as one 0 that stays at its head until the ring fills.
     """
     # a ring holds at most one time per customer, so sys.maxsize (deque's
     # largest maxlen) caps a longer one without changing it
     rings = [
-        deque([0.0], maxlen=min(b + 1, sys.maxsize))
-        for b in (0, *config.buffer_capacities)
+        deque([0.0], maxlen=min(b + 1, sys.maxsize)) for b in config.buffer_capacities
     ]
-    draws = [s.__next__ for s in streams]
-    blocking = list(zip(rings, rings[1:], draws))  # stations 0..K-1
-    first, last, last_draw = rings[0], rings[-1], draws[-1]
-    for a in arrival_times:
-        d = a
-        for ring, below, draw in blocking:
-            prev = ring[-1]
-            c = (d if d > prev else prev) + draw()
-            free = below[0]
-            d = c if c > free else free
-            ring.append(d)
-        prev = last[-1]
-        d = (d if d > prev else prev) + last_draw()
-        last.append(d)
-        yield a, first[-1], d
+    return _recursion(config.num_servers)(
+        arrival_times, [s.__next__ for s in streams], rings
+    )
+
+
+@functools.lru_cache(maxsize=4)  # one at 10^4 stations holds about 8 MB
+def _recursion(num_servers: int) -> Callable[..., Iterator[tuple[float, float, float]]]:
+    """The recursion over ``num_servers`` stations, compiled with them unrolled.
+
+    Station i keeps D_i(n - 1) in the local ``d{i}``, ring i >= 1 is read at
+    its head and appended through ``push{i}``, and nothing beyond the last
+    station blocks it: D_K(n) = C_K(n). The source holds station indices
+    only; rates and buffers reach the generator as its arguments.
+    """
+    k = num_servers - 1
+    stations = range(num_servers)
+    body = [
+        "def recursion(arrival_times, draws, rings):",
+        f"    {', '.join(f'draw{i}' for i in stations)}, = draws",
+        *(f"    push{i} = rings[{i - 1}].append" for i in stations[1:]),
+        *(f"    ring{i} = rings[{i - 1}]" for i in stations[1:]),
+        f"    {' = '.join(f'd{i}' for i in stations)} = 0.0",
+        "    for a in arrival_times:",
+    ]
+    for i in stations:
+        came = f"d{i - 1}" if i else "a"  # D_{i-1}(n), or the arrival time
+        here = f"(({came} if {came} > d{i} else d{i}) + draw{i}())"
+        if i < k:
+            body += [
+                f"        c = {here}",
+                f"        free = ring{i + 1}[0]",
+                f"        d{i} = c if c > free else free",
+            ]
+        else:
+            body.append(f"        d{i} = {here}")
+        if i:
+            body.append(f"        push{i}(d{i})")
+    body.append(f"        yield a, d0, d{k}")
+    namespace: dict = {}
+    source = "\n".join(body)
+    exec(compile(source, f"<recursion over {num_servers} stations>", "exec"), namespace)
+    return namespace["recursion"]
 
 
 def simulate_saturated(
@@ -287,7 +340,9 @@ def simulate_with_arrivals(
     )
 
     # those gone from station 0, and from the line, by t_end are prefixes of
-    # the run (see the module docstring)
+    # the run (see the module docstring); the first customer still at
+    # station 0 at t_end ends the recursion, since every later one is still
+    # there too, and the rest need only their arrival times
     area = 0.0  # integral of the level over [0, t_end]
     arrivals = left_first = departures = 0
     customers = _departures(config, streams, arrival_times)
@@ -299,6 +354,9 @@ def simulate_with_arrivals(
                 departures = arrivals
         else:
             area += t_end - a
+            break
+    for arrivals, a in enumerate(arrival_times, arrivals + 1):
+        area += t_end - a
     return ArrivalSimResult(
         mean_level=area / t_end,
         final_level=arrivals - left_first,

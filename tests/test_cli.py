@@ -194,6 +194,16 @@ def test_overflowing_rate_sum_exits_two(capsys, command):
     assert "Warning" not in err
 
 
+def test_simulation_past_the_server_bound_exits_two(capsys):
+    # refused before the recursion over 10,001 stations is compiled
+    rates = ",".join(["1"] * 10_001)
+    code, out, err = run(capsys, "simulate", "--mu", rates, "--buffers", "1",
+                         "--departures", "10000")
+    assert code == 2
+    assert out == ""
+    assert "at most 10000 servers" in err
+
+
 def test_sweep_csv_reference_values(capsys):
     code, out, _ = run(
         capsys, "sweep", "--servers", "3..6", "--mu0", "0.8,1.0,1.25",

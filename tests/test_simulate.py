@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrival_oracle import arrival_run
+from departure_oracle import departures
 from tandemqbd import simulate
 from tandemqbd import (
     InputError,
@@ -283,6 +284,91 @@ def test_arrival_stream_is_pinned():
         "ArrivalSimResult(mean_level=0.011296760581274776, final_level=1, "
         "departures=0, arrivals=1, in_system=1, horizon=0.17, seed=8)"
     )
+    # about 1.5 lambda_max: a third of the customers are still at station 0
+    # at the horizon. Both values were taken while the recursion still ran
+    # for every customer, as a loop over the stations.
+    assert repr(simulate_with_arrivals(cfg, 0.985, 2000.0, seed=8)) == (
+        "ArrivalSimResult(mean_level=334.0828821671829, final_level=675, "
+        "departures=1332, arrivals=2007, in_system=675, horizon=2000.0, seed=8)"
+    )
+    assert repr(simulate_with_arrivals(line([1.3], []), 1.0, 3000.0, seed=4)) == (
+        "ArrivalSimResult(mean_level=2.9008071430438656, final_level=0, "
+        "departures=3026, arrivals=3026, in_system=0, horizon=3000.0, seed=4)"
+    )
+
+
+@st.composite
+def recursion_runs(draw):
+    """A line of 1 to 8 servers with buffers from {0, 1, 2, 3, 10^12} and
+    rates log-uniform over 1e-2..1e2, a seed, and an arrival rate: None for
+    a saturated run, else 0.1 to 1.5 times the slowest rate."""
+    servers = draw(st.integers(1, 8))
+    buffers = draw(st.lists(st.sampled_from([0, 1, 2, 3, 10**12]),
+                            min_size=servers - 1, max_size=servers - 1))
+    rates = draw(st.lists(st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+                          min_size=servers, max_size=servers))
+    load = draw(st.none() | st.floats(0.1, 1.5))
+    arrival_rate = None if load is None else load * min(rates)
+    return line(rates, buffers), draw(st.integers(0, 2**32)), arrival_rate
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(recursion_runs())
+def test_compiled_recursion_matches_the_station_loop(run):
+    cfg, seed, arrival_rate = run
+
+    def first_customers(recursion):
+        streams, spare = simulate._spawn_streams(cfg, seed, extra=1)
+        arrival_times = (
+            itertools.repeat(-math.inf)
+            if arrival_rate is None
+            else itertools.accumulate(simulate._exp_draws(spare[0], arrival_rate))
+        )
+        return list(itertools.islice(recursion(cfg, streams, arrival_times), 2_000))
+
+    assert first_customers(simulate._departures) == first_customers(departures)
+
+
+def test_overloaded_arrival_run_stops_at_the_first_customer_left_at_station_0(
+    monkeypatch,
+):
+    # every later customer leaves station 0 later still, so only its
+    # arrival time counts
+    simulated = []
+    recursion = simulate._departures
+
+    def recorded(*args):
+        for customer in recursion(*args):
+            simulated.append(customer)
+            yield customer
+
+    monkeypatch.setattr(simulate, "_departures", recorded)
+    cfg, horizon = line([1.0, 0.9, 1.1], [1, 1]), 2000.0
+    result = simulate_with_arrivals(cfg, 0.985, horizon, seed=8)
+    assert result.final_level == 675
+    assert len(simulated) == result.arrivals - result.final_level + 1
+    assert simulated[-2][1] <= horizon < simulated[-1][1]
+
+
+def test_lines_past_the_server_bound_are_refused_before_compiling(monkeypatch):
+    def compile_nothing(num_servers):
+        raise AssertionError(f"compiled the recursion over {num_servers} stations")
+
+    servers = simulate.MAX_SIMULATED_SERVERS + 1
+    cfg = line([1.0] * servers, [1] * (servers - 1))
+    monkeypatch.setattr(simulate, "_recursion", compile_nothing)
+    with pytest.raises(InputError, match="at most 10000 servers"):
+        simulate_saturated(cfg, 10_000, seed=0)
+    with pytest.raises(InputError, match="at most 10000 servers"):
+        simulate_with_arrivals(cfg, 0.5, 10.0, seed=0)
+
+
+def test_a_line_at_the_server_bound_runs(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_SIMULATED_SERVERS", 3)
+    result = simulate_saturated(line([0.8, 1.0, 1.2], [1, 0]), 10_000, seed=3)
+    assert result.total_departures == 11_000
+    with pytest.raises(InputError, match="at most 3 servers"):
+        simulate_saturated(line([1.0] * 4, [1] * 3), 10_000, seed=3)
 
 
 def test_drawing_leaves_numpy_error_state_alone():
